@@ -103,9 +103,10 @@ bench-smoke:
 bench-reduction:
 	dune exec bench/main.exe -- reduction
 
-# Observability overhead gate: exploring the largest example with the
+# Observability overhead gate: exploring e6_seven_threads with the
 # metrics registry enabled, and again with span tracing active on top,
-# must each cost no more than 5% over a muted registry.  Writes both
+# must each cost no more than 5% over a muted registry (median of
+# per-round ratios, modes alternated within each round).  Writes the
 # rows into BENCH_obs.json; exits non-zero past the tolerance — part
 # of `make check`.
 bench-obs:

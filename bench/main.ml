@@ -1479,12 +1479,18 @@ let sweep_section ~json_path () =
    The observability layer must be effectively free when nobody is
    looking: counters/histograms are always on (sharded atomics), spans
    cost one atomic load while tracing is inactive.  This gate explores
-   the largest example model (avionics, exhaustive on-the-fly check)
-   with metrics enabled and with the registry muted ([Obs.set_enabled
-   false]) and fails if the instrumented run is more than 5% slower
-   (plus a small absolute slack so millisecond-scale noise cannot fail
-   CI).  Run shape is read back from the registry itself — the same
-   counters `--stats` and the serve 'metrics' op render. *)
+   e6_seven_threads (exhaustive on-the-fly check, a few hundred
+   milliseconds) in three modes: registry muted ([Obs.set_enabled
+   false]), metrics enabled, and metrics plus span tracing.  The modes
+   alternate within every round, in a rotating order, so drift in the
+   host's speed lands on all three alike.  Each round yields one ratio
+   per instrumented mode, its wall time over the same round's muted wall
+   time; a mode fails the gate if the median of its ratios exceeds 1.05.
+   Pairing within a round cancels the drift that, on a shared 2-core
+   host, moves the per-mode medians by up to 10% between runs.  There is
+   no absolute slack, so the gate can fail at any run length.  Run
+   shape is read back from the registry itself — the same counters
+   `--stats` and the serve 'metrics' op render. *)
 
 let obs_counter name =
   match Obs.find name with
@@ -1496,9 +1502,26 @@ let obs_gauge name =
   | Some { Obs.value = Obs.Gauge_value v; _ } -> v
   | _ -> 0.
 
+type obs_mode = Muted | Metrics | Traced
+
+let obs_mode_name = function
+  | Muted -> "muted"
+  | Metrics -> "metrics"
+  | Traced -> "metrics+tracing"
+
+(* Median and relative spread (interquartile range / median) of an
+   odd-sized sample. *)
+let median_spread xs =
+  let a = Array.copy xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  let med = a.(n / 2) in
+  (med, (a.(3 * n / 4) -. a.(n / 4)) /. max med 1e-9)
+
 let obs_section ~json_path () =
   hr "OBS: instrumentation overhead (muted vs metrics vs metrics+tracing)";
-  let defs, system = translate_text (Gen.avionics ()) in
+  let model = "e6_seven_threads" in
+  let defs, system = translate_text (e6_model 7) in
   let config =
     {
       Versa.Lts.default_config with
@@ -1508,94 +1531,100 @@ let obs_section ~json_path () =
   in
   (* warm the hash-cons table and code paths outside the timings *)
   ignore (Versa.Lts.check ~config defs system);
-  let rounds = 5 in
-  let best_of f =
-    let best = ref infinity in
-    for _ = 1 to rounds do
+  let rounds = 21 and tolerance = 0.05 in
+  let modes = [| Muted; Metrics; Traced |] in
+  let walls = Array.make_matrix 3 rounds 0. in
+  let time_mode = function
+    | Muted ->
+        Obs.set_enabled false;
+        Fun.protect ~finally:(fun () -> Obs.set_enabled true) @@ fun () ->
+        Versa.Lts.check ~config defs system
+    | Metrics -> Versa.Lts.check ~config defs system
+    | Traced ->
+        (* the tracer buffers events in memory, and buffering a full
+           exploration must also stay inside the same envelope *)
+        Obs.Trace.start ();
+        Fun.protect ~finally:Obs.Trace.stop @@ fun () ->
+        Versa.Lts.check ~config defs system
+  in
+  let states_before = obs_counter "versa_explore_states_total" in
+  for r = 0 to rounds - 1 do
+    for k = 0 to 2 do
+      let m = (r + k) mod 3 in
       Gc.full_major ();
       let t0 = Timed.Clock.gettimeofday () in
-      ignore (f ());
-      let w = Timed.Clock.gettimeofday () -. t0 in
-      if w < !best then best := w
-    done;
-    !best
-  in
-  let run () = Versa.Lts.check ~config defs system in
-  let states_before = obs_counter "versa_explore_states_total" in
-  Obs.set_enabled true;
-  let wall_on = best_of run in
-  Obs.set_enabled false;
-  let wall_off = best_of run in
-  Obs.set_enabled true;
-  (* third row: metrics AND span tracing on — the tracer buffers events
-     in memory, and buffering a full exploration must also stay inside
-     the same envelope *)
-  Obs.Trace.start ();
-  let wall_trace = best_of run in
-  Obs.Trace.stop ();
+      ignore (time_mode modes.(m));
+      walls.(m).(r) <- Timed.Clock.gettimeofday () -. t0
+    done
+  done;
+  (* muted runs publish nothing, so the registry saw the other two *)
   let states_per_run =
     (obs_counter "versa_explore_states_total" - states_before) / (2 * rounds)
   in
-  let overhead = (wall_on -. wall_off) /. max wall_off 1e-9 in
-  let overhead_trace = (wall_trace -. wall_off) /. max wall_off 1e-9 in
-  (* 5% relative + 50ms absolute: the relative bound is the contract,
-     the absolute slack keeps sub-second runs from failing on scheduler
-     noise *)
-  let ok_metrics = wall_on <= (wall_off *. 1.05) +. 0.05 in
-  let ok_trace = wall_trace <= (wall_off *. 1.05) +. 0.05 in
-  let ok = ok_metrics && ok_trace in
-  Fmt.pr "model: avionics, %d states per exhaustive check (from registry)@."
-    states_per_run;
-  Fmt.pr "metrics on:    best of %d  %.3fs@." rounds wall_on;
-  Fmt.pr "metrics muted: best of %d  %.3fs@." rounds wall_off;
-  Fmt.pr "tracing on:    best of %d  %.3fs@." rounds wall_trace;
-  Fmt.pr "overhead: metrics %+.1f%%, tracing %+.1f%% (gate: <= 5%% + 50ms \
-          slack) — %s@."
-    (100. *. overhead)
-    (100. *. overhead_trace)
+  let rows =
+    List.map
+      (fun m ->
+        let wall, spread = median_spread walls.(m) in
+        let ratio, ratio_spread =
+          median_spread (Array.map2 ( /. ) walls.(m) walls.(0))
+        in
+        (modes.(m), wall, spread, ratio -. 1., ratio_spread,
+         ratio <= 1. +. tolerance))
+      [ 0; 1; 2 ]
+  in
+  let ok = List.for_all (fun (_, _, _, _, _, ok) -> ok) rows in
+  let cores = Domain.recommended_domain_count () in
+  Fmt.pr "model: %s, %d states per exhaustive check (from registry), %d cores@."
+    model states_per_run cores;
+  List.iter
+    (fun (mode, wall, spread, overhead, ratio_spread, _) ->
+      Fmt.pr
+        "%-16s median of %d  %.3fs  spread %4.1f%%  overhead %+.1f%% \
+         (paired, spread %.1f%%)@."
+        (obs_mode_name mode ^ ":") rounds wall (100. *. spread)
+        (100. *. overhead) (100. *. ratio_spread))
+    rows;
+  Fmt.pr "gate: each instrumented median paired ratio <= 1 + %.0f%% — %s@."
+    (100. *. tolerance)
     (if ok then "OK" else "FAIL");
   Fmt.pr "registry after the instrumented runs: %d explorations, last at \
-          %.0f states/sec, peak frontier %.0f@."
+          %.0f states/sec, peak frontier %.0f, longest hash-cons chain %.0f@."
     (obs_counter "versa_explore_runs_total")
     (obs_gauge "versa_explore_states_per_sec")
-    (obs_gauge "versa_explore_peak_frontier");
+    (obs_gauge "versa_explore_peak_frontier")
+    (obs_gauge "versa_hashcons_max_chain");
   let json =
     Service.Json.Obj
       [
         ("benchmark", Service.Json.String "observability overhead gate");
         ( "note",
           Service.Json.String
-            "exhaustive on-the-fly check of the avionics model: metrics \
-             registry muted vs enabled vs enabled-with-span-tracing; \
-             best-of-N wall times, each instrumented row gated against \
-             the muted baseline" );
-        ("model", Service.Json.String "avionics");
+            "exhaustive on-the-fly check of e6_seven_threads on a warm \
+             hash-cons table: registry muted vs enabled vs \
+             enabled-with-span-tracing, alternated within each round; \
+             overhead is the median over rounds of a mode's wall time \
+             over the same round's muted wall time, minus 1, gated at \
+             the tolerance with no absolute slack; spread is \
+             interquartile range / median" );
+        ("model", Service.Json.String model);
+        ("host", Service.Json.Obj [ ("cores", Service.Json.Int cores) ]);
         ("rounds", Service.Json.Int rounds);
         ("states_per_run", Service.Json.Int states_per_run);
-        ("wall_on_s", Service.Json.Float wall_on);
-        ("wall_off_s", Service.Json.Float wall_off);
-        ("wall_trace_s", Service.Json.Float wall_trace);
-        ("overhead_fraction", Service.Json.Float overhead);
-        ("tolerance_fraction", Service.Json.Float 0.05);
-        ("absolute_slack_s", Service.Json.Float 0.05);
+        ("tolerance_fraction", Service.Json.Float tolerance);
         ( "rows",
           Service.Json.List
-            [
-              Service.Json.Obj
-                [
-                  ("row", Service.Json.String "metrics");
-                  ("wall_s", Service.Json.Float wall_on);
-                  ("overhead_fraction", Service.Json.Float overhead);
-                  ("ok", Service.Json.Bool ok_metrics);
-                ];
-              Service.Json.Obj
-                [
-                  ("row", Service.Json.String "metrics+tracing");
-                  ("wall_s", Service.Json.Float wall_trace);
-                  ("overhead_fraction", Service.Json.Float overhead_trace);
-                  ("ok", Service.Json.Bool ok_trace);
-                ];
-            ] );
+            (List.map
+               (fun (mode, wall, spread, overhead, ratio_spread, ok) ->
+                 Service.Json.Obj
+                   [
+                     ("row", Service.Json.String (obs_mode_name mode));
+                     ("median_s", Service.Json.Float wall);
+                     ("spread", Service.Json.Float spread);
+                     ("overhead_fraction", Service.Json.Float overhead);
+                     ("overhead_spread", Service.Json.Float ratio_spread);
+                     ("ok", Service.Json.Bool ok);
+                   ])
+               rows) );
         ("ok", Service.Json.Bool ok);
       ]
   in

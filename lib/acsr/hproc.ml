@@ -113,40 +113,104 @@ let node_equal n1 n2 =
       _ ) ->
       false
 
-(* {1 The sharded intern table} *)
+(* {1 The sharded intern table}
 
-module Node_tbl = Hashtbl.Make (struct
-  type nonrec t = node
+   Each shard is a chained hash table of interned nodes: bucket [i] holds
+   the nodes whose hash has low bits [i], and the bucket array doubles
+   once the shard holds more than two nodes per bucket.  A lookup walks
+   one chain, comparing memoized hashes before nodes.  Chains only grow
+   between two doublings, so the shard keeps its longest chain up to date
+   on every insert, and {!table_stats} costs no walk over the table.
 
-  let equal = node_equal
-  let hash = node_hash
-end)
+   Invariant: the shard index must not be determined by the bits that the
+   bucket index reads.  Had the shard come from low hash bits too, those
+   bits would be constant within each shard, all but 1/[num_shards] of
+   its buckets would stay empty, and every intern would walk a chain that
+   grows with the table.  So the shard is the top [shard_bits] of a
+   multiplicative (Fibonacci) mix of the hash: they depend on every bit
+   of the hash, and no bucket array that fits in memory reaches them. *)
 
-let num_shards = 64 (* power of two *)
+let shard_bits = 6
+let num_shards = 1 lsl shard_bits
 
-type shard = { lock : Mutex.t; tbl : t Node_tbl.t }
+type shard = {
+  lock : Mutex.t;
+  mutable buckets : t list array;  (** length a power of two *)
+  mutable size : int;
+  mutable max_chain : int;
+}
 
 let shards =
   Array.init num_shards (fun _ ->
-      { lock = Mutex.create (); tbl = Node_tbl.create 1024 })
+      {
+        lock = Mutex.create ();
+        buckets = Array.make 1024 [];
+        size = 0;
+        max_chain = 0;
+      })
+
+(* 2^63 divided by the golden ratio, made odd (the literal wraps to a
+   negative [int], which multiplication modulo 2^63 does not mind). *)
+let shard_of h =
+  shards.((h * 0x4F1BBCDCBFA53E0B) lsr (Sys.int_size - shard_bits))
+
+let bucket_of buckets h = h land (Array.length buckets - 1)
+
+let rec find_in_chain h node = function
+  | [] -> None
+  | t :: rest ->
+      if t.hash = h && node_equal t.node node then Some t
+      else find_in_chain h node rest
+
+let grow shard =
+  let buckets = Array.make (2 * Array.length shard.buckets) [] in
+  Array.iter
+    (List.iter (fun t ->
+         let i = bucket_of buckets t.hash in
+         buckets.(i) <- t :: buckets.(i)))
+    shard.buckets;
+  shard.buckets <- buckets;
+  shard.max_chain <-
+    Array.fold_left (fun m chain -> max m (List.length chain)) 0 buckets
 
 let next_id = Atomic.make 0
 
 let intern node =
   let h = node_hash node in
-  let shard = shards.((h lsr 3) land (num_shards - 1)) in
+  let shard = shard_of h in
   Mutex.lock shard.lock;
-  match Node_tbl.find_opt shard.tbl node with
+  let i = bucket_of shard.buckets h in
+  match find_in_chain h node shard.buckets.(i) with
   | Some t ->
       Mutex.unlock shard.lock;
       t
   | None ->
       let t = { id = Atomic.fetch_and_add next_id 1; hash = h; node } in
-      Node_tbl.add shard.tbl node t;
+      let chain = t :: shard.buckets.(i) in
+      shard.buckets.(i) <- chain;
+      shard.size <- shard.size + 1;
+      shard.max_chain <- max shard.max_chain (List.length chain);
+      if shard.size > 2 * Array.length shard.buckets then grow shard;
       Mutex.unlock shard.lock;
       t
 
 let table_size () = Atomic.get next_id
+
+type table_stats = { nodes : int; max_chain : int; max_shard : int }
+
+let table_stats () =
+  Array.fold_left
+    (fun acc shard ->
+      Mutex.lock shard.lock;
+      let size = shard.size and chain = shard.max_chain in
+      Mutex.unlock shard.lock;
+      {
+        nodes = acc.nodes + size;
+        max_chain = max acc.max_chain chain;
+        max_shard = max acc.max_shard size;
+      })
+    { nodes = 0; max_chain = 0; max_shard = 0 }
+    shards
 
 (* {1 Constructors}
 

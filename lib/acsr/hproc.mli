@@ -88,4 +88,15 @@ val table_size : unit -> int
 (** Number of distinct nodes interned so far (the table is global and grows
     monotonically for the lifetime of the process). *)
 
+type table_stats = {
+  nodes : int;  (** nodes across all shards; equals {!table_size} *)
+  max_chain : int;  (** longest bucket chain in any shard *)
+  max_shard : int;  (** nodes in the fullest shard *)
+}
+
+val table_stats : unit -> table_stats
+(** Health of the intern table: each intern walks one bucket chain, so
+    [max_chain] bounds its cost.  O(1): each shard keeps its figures up to
+    date as it grows; read one shard lock at a time. *)
+
 val pp : t Fmt.t

@@ -196,6 +196,8 @@ type cache = {
           subterms of a translated AADL system recur across nearly every
           global state, so their step sets are computed once instead of
           once per state. *)
+  mutable memo_hits : int;  (** [steps_memo] lookups that found a row *)
+  mutable memo_misses : int;  (** lookups that had to compute one *)
 }
 
 let make_cache () =
@@ -203,11 +205,22 @@ let make_cache () =
     lock = Mutex.create ();
     unfold = Hashtbl.create 256;
     steps_memo = Hashtbl.create 4096;
+    memo_hits = 0;
+    memo_misses = 0;
   }
 
 let memo_find cache id =
   Mutex.lock cache.lock;
   let r = Hashtbl.find_opt cache.steps_memo id in
+  (match r with
+  | Some _ -> cache.memo_hits <- cache.memo_hits + 1
+  | None -> cache.memo_misses <- cache.memo_misses + 1);
+  Mutex.unlock cache.lock;
+  r
+
+let memo_counts cache =
+  Mutex.lock cache.lock;
+  let r = (cache.memo_hits, cache.memo_misses) in
   Mutex.unlock cache.lock;
   r
 

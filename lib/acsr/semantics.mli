@@ -41,6 +41,10 @@ type cache
 
 val make_cache : unit -> cache
 
+val memo_counts : cache -> int * int
+(** [(hits, misses)] of the per-subterm step-set memo since the cache was
+    made.  Under concurrent use a race may count one term's miss twice. *)
+
 val h_steps : ?cache:cache -> Defs.t -> Hproc.t -> (Step.t * Hproc.t) list
 (** Unprioritized transition relation over hash-consed terms.  Without
     [?cache], a fresh unfolding memo is used for this call only. *)

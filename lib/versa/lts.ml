@@ -83,6 +83,19 @@ module Metrics = struct
     Obs.Gauge.make ~help:"Global hash-cons table size after the last exploration"
       "versa_hashcons_nodes"
 
+  let hashcons_max_chain =
+    Obs.Gauge.make
+      ~help:"Longest bucket chain in the global hash-cons table after the last exploration"
+      "versa_hashcons_max_chain"
+
+  let step_memo_hits =
+    Obs.Counter.make ~help:"Step-memo lookups that found a computed step set"
+      "versa_step_memo_hits_total"
+
+  let step_memo_misses =
+    Obs.Counter.make ~help:"Step-memo lookups that had to compute a step set"
+      "versa_step_memo_misses_total"
+
   let store_bytes =
     Obs.Gauge.make
       ~help:"Estimated bytes retained by the last exploration's state store"
@@ -172,6 +185,9 @@ type stats = {
   intern_hits : int;  (** state interns that found an existing state *)
   intern_misses : int;  (** state interns that discovered a new state *)
   hashcons_nodes : int;  (** global hash-cons table size after the build *)
+  hashcons_max_chain : int;  (** its longest bucket chain *)
+  memo_hits : int;  (** step-memo lookups that found a step set *)
+  memo_misses : int;  (** step-memo lookups that computed one *)
   store_bytes : int;  (** estimated bytes retained by the state store *)
   early_exit_depth : int option;
       (** BFS depth of the deadlock that stopped an early-exit run *)
@@ -218,6 +234,9 @@ let publish_stats s =
     (fun d -> Obs.Gauge.set Metrics.early_exit_depth (float_of_int d))
     s.early_exit_depth;
   Obs.Gauge.set Metrics.hashcons_nodes (float_of_int s.hashcons_nodes);
+  Obs.Gauge.set Metrics.hashcons_max_chain (float_of_int s.hashcons_max_chain);
+  Obs.Counter.incr ~by:s.memo_hits Metrics.step_memo_hits;
+  Obs.Counter.incr ~by:s.memo_misses Metrics.step_memo_misses;
   Obs.Gauge.set Metrics.store_bytes (float_of_int s.store_bytes);
   Obs.Counter.incr ~by:s.steals Metrics.steals;
   Obs.Counter.incr ~by:s.steal_attempts Metrics.steal_attempts;
@@ -906,6 +925,7 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   let depth = Array.init n (fun i -> (entry i).Table.dep) in
   let wall_s = Timed.Clock.gettimeofday () -. t_start in
   let tl = Oracle.tally o in
+  let memo_hits, memo_misses = Semantics.memo_counts cache in
   let stats =
     {
       jobs;
@@ -920,6 +940,9 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
       intern_hits = table.Table.hits;
       intern_misses = table.Table.misses;
       hashcons_nodes = Hproc.table_size ();
+      hashcons_max_chain = (Hproc.table_stats ()).max_chain;
+      memo_hits;
+      memo_misses;
       (* per state: entry record + entries/term_of/edges/expanded/parent/
          depth array slots + hashtable binding + parent option box; per
          transition: a (step, id) tuple in a row.  An estimate, counted
@@ -1138,6 +1161,7 @@ let check ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   let n = store.Store.len in
   let wall_s = Timed.Clock.gettimeofday () -. t_start in
   let tl = Oracle.tally o in
+  let memo_hits, memo_misses = Semantics.memo_counts cache in
   let stats =
     {
       jobs;
@@ -1152,6 +1176,9 @@ let check ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
       intern_hits = store.Store.hits;
       intern_misses = store.Store.misses;
       hashcons_nodes = Hproc.table_size ();
+      hashcons_max_chain = (Hproc.table_stats ()).max_chain;
+      memo_hits;
+      memo_misses;
       (* per state: term pointer + pred int + step pointer array slots,
          plus a hashtable binding.  An estimate, counted in words. *)
       store_bytes = 8 * 7 * n;
@@ -1200,13 +1227,16 @@ let pp_stats ppf s =
      phases: expand %.3fs, merge %.3fs@,\
      frontier peak %d, BFS levels %d@,\
      state dedup: %d hits / %d misses (%.1f%% hit-rate)@,\
+     step memo: %d hits / %d misses@,\
      state store: ~%d KiB (~%.0f bytes/state)@,\
-     hash-cons table: %d nodes%a%a%a@]"
+     hash-cons table: %d nodes, longest chain %d%a%a%a@]"
     s.num_states s.num_transitions s.num_deadlocks s.wall_s
     (states_per_sec s) s.jobs s.expand_s s.merge_s s.peak_frontier
     s.depth_levels s.intern_hits s.intern_misses
     (100. *. dedup_hit_rate s)
+    s.memo_hits s.memo_misses
     (s.store_bytes / 1024) (bytes_per_state s) s.hashcons_nodes
+    s.hashcons_max_chain
     (fun ppf s ->
       (* only parallel runs that actually engaged the workers have
          anything to say here *)

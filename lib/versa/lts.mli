@@ -79,6 +79,14 @@ type stats = {
   intern_hits : int;  (** successor interns that found an existing state *)
   intern_misses : int;  (** interns that discovered a new state *)
   hashcons_nodes : int;  (** global hash-cons table size after the build *)
+  hashcons_max_chain : int;
+      (** longest bucket chain in that table: the worst-case walk of one
+          intern (see {!Acsr.Hproc.table_stats}) *)
+  memo_hits : int;
+      (** lookups in the per-subterm step-set memo that found a set *)
+  memo_misses : int;
+      (** step-memo lookups that had to compute the set; counted per
+          build, so a parallel race can count one subterm twice *)
   store_bytes : int;
       (** estimated bytes retained by the state store (successor rows and
           bookkeeping for {!build}; flat id/parent/step arrays for
