@@ -22,7 +22,6 @@ let analyze_text ?protocol ?quantum ?(max_states = 2_000_000)
         };
       max_states;
       all_violations = false;
-      jobs = 1;
       engine = Versa.Explorer.On_the_fly;
       deadline = None;
       poll = None;
@@ -516,8 +515,8 @@ let bechamel_section () =
 
 (* {1 Exploration engines: baseline structural hashing vs hash-consing}
 
-   Runs the seed explorer ([Baseline.explore]) and the current engine at
-   jobs=1 and jobs=4 on the larger examples, exhaustively, and records
+   Runs the seed explorer ([Baseline.explore]), the graph builder and the
+   on-the-fly checker on the larger examples, exhaustively, and records
    the telemetry in BENCH_explore.json.  The engines must agree exactly
    on states, transitions and deadlocks — the speedup is only meaningful
    if the answer is identical. *)
@@ -569,12 +568,12 @@ let explore_model (name, text) =
       states_per_sec = float_of_int base_r.Baseline.states /. max base_wall 1e-9;
     }
   in
-  let run_jobs jobs =
+  let run_full () =
     Gc.full_major ();
-    let lts = Versa.Lts.build ~config ~jobs defs system in
+    let lts = Versa.Lts.build ~config defs system in
     let st = Versa.Lts.stats lts in
     {
-      engine = Printf.sprintf "hashcons_jobs%d" jobs;
+      engine = "hashcons_full";
       states = Versa.Lts.num_states lts;
       transitions = Versa.Lts.num_transitions lts;
       deadlocks = List.length (Versa.Lts.deadlocks lts);
@@ -584,12 +583,12 @@ let explore_model (name, text) =
   in
   (* the on-the-fly checker, run exhaustively so its counts must coincide
      with the graph builders' *)
-  let run_otf jobs =
+  let run_otf () =
     Gc.full_major ();
-    let c = Versa.Lts.check ~config ~jobs defs system in
+    let c = Versa.Lts.check ~config defs system in
     let st = Versa.Lts.check_stats c in
     {
-      engine = Printf.sprintf "on_the_fly_jobs%d" jobs;
+      engine = "on_the_fly";
       states = Versa.Lts.check_num_states c;
       transitions = Versa.Lts.check_num_transitions c;
       deadlocks = List.length (Versa.Lts.check_deadlocks c);
@@ -597,7 +596,7 @@ let explore_model (name, text) =
       states_per_sec = Versa.Lts.states_per_sec st;
     }
   in
-  let samples = [ base; run_jobs 1; run_jobs 4; run_otf 1 ] in
+  let samples = [ base; run_full (); run_otf () ] in
   let agree f = List.for_all (fun s -> f s = f base) samples in
   (name, samples, agree (fun s -> s.states) && agree (fun s -> s.transitions),
    agree (fun s -> s.deadlocks > 0))
@@ -657,227 +656,6 @@ let early_exit_model text =
     ee_traces_agree = steps_full <> None && steps_full = steps_otf;
   }
 
-(* {1 Scaling: work-stealing speedup, jobs x model}
-
-   The on-the-fly checker run exhaustively at jobs 1, 2 and 4 over
-   models of increasing size.  Every run must report identical states,
-   transitions and deadlock ids — the speedup table is only meaningful
-   under bit-identical results, which the work-stealing engine
-   guarantees by construction (prefetch + sequential replay).
-
-   The jobs4/jobs1 ratio on the largest model is a CI gate, but only on
-   hosts that can physically exhibit scaling: OCaml domains are
-   preemptively timesliced on a starved host, so on fewer than 4 cores
-   the ratio measures scheduler contention and GC rendezvous overhead,
-   not the work-stealing design.  The core count is recorded in the
-   telemetry either way, so a table produced on a 1-core container is
-   distinguishable from one produced on real hardware. *)
-
-type scaling_sample = { sj_jobs : int; sj_wall : float; sj_per_sec : float }
-
-type scaling_row = {
-  sc_model : string;
-  sc_states : int;
-  sc_transitions : int;
-  sc_deadlocks : int;
-  sc_samples : scaling_sample list;
-  sc_identical : bool;  (** states, transitions and deadlock ids agree *)
-}
-
-type scaling_report = {
-  sr_cores : int;
-  sr_rows : scaling_row list;
-  sr_largest : string;
-  sr_speedup4 : float;  (** jobs4/jobs1 states/sec on the largest model *)
-  sr_gate : [ `Passed | `Failed_speedup | `Failed_identity | `Skipped ];
-}
-
-let scaling_jobs = [ 1; 2; 4 ]
-let scaling_gate_threshold = 2.0
-
-let scaling_row (name, text) =
-  let defs, system = translate_text text in
-  let config =
-    {
-      Versa.Lts.default_config with
-      max_states = Some 2_000_000;
-      stop_at_deadlock = false;
-    }
-  in
-  (* warm the global hash-cons table once so the jobs=1 run (always
-     first) is not charged the one-time intern-table growth *)
-  ignore (Versa.Lts.check ~config defs system);
-  let runs =
-    List.map
-      (fun jobs ->
-        Gc.full_major ();
-        let c = Versa.Lts.check ~config ~jobs defs system in
-        (jobs, c, (Versa.Lts.check_stats c).Versa.Lts.wall_s))
-      scaling_jobs
-  in
-  let _, c1, _ = List.hd runs in
-  let fingerprint c =
-    ( Versa.Lts.check_num_states c,
-      Versa.Lts.check_num_transitions c,
-      Versa.Lts.check_deadlocks c )
-  in
-  {
-    sc_model = name;
-    sc_states = Versa.Lts.check_num_states c1;
-    sc_transitions = Versa.Lts.check_num_transitions c1;
-    sc_deadlocks = List.length (Versa.Lts.check_deadlocks c1);
-    sc_samples =
-      List.map
-        (fun (jobs, c, wall) ->
-          {
-            sj_jobs = jobs;
-            sj_wall = wall;
-            sj_per_sec =
-              float_of_int (Versa.Lts.check_num_states c) /. max wall 1e-9;
-          })
-        runs;
-    sc_identical =
-      List.for_all (fun (_, c, _) -> fingerprint c = fingerprint c1) runs;
-  }
-
-let scaling_speedup row jobs =
-  let per j = (List.find (fun s -> s.sj_jobs = j) row.sc_samples).sj_per_sec in
-  per jobs /. per 1
-
-let measure_scaling () =
-  let rows =
-    List.map scaling_row
-      [
-        ("e6_six_threads", e6_model 6);
-        ("e6_seven_threads", e6_model 7);
-        ("e6_seven_unsched", e6_unsched 7);
-      ]
-  in
-  let largest =
-    List.fold_left (fun a r -> if r.sc_states > a.sc_states then r else a)
-      (List.hd rows) rows
-  in
-  let cores = Domain.recommended_domain_count () in
-  let sr_speedup4 = scaling_speedup largest 4 in
-  let sr_gate =
-    if not (List.for_all (fun r -> r.sc_identical) rows) then `Failed_identity
-    else if cores < 4 then `Skipped
-    else if sr_speedup4 >= scaling_gate_threshold then `Passed
-    else `Failed_speedup
-  in
-  {
-    sr_cores = cores;
-    sr_rows = rows;
-    sr_largest = largest.sc_model;
-    sr_speedup4;
-    sr_gate;
-  }
-
-let scaling_gate_label = function
-  | `Passed -> "passed"
-  | `Failed_speedup -> "failed_speedup"
-  | `Failed_identity -> "failed_identity"
-  | `Skipped -> "skipped_insufficient_cores"
-
-let print_scaling r =
-  hr "SCALING: work-stealing speedup, jobs x model";
-  Fmt.pr "cores available: %d@." r.sr_cores;
-  Fmt.pr "%-18s %8s %6s %9s %12s %9s@." "model" "states" "jobs" "wall (s)"
-    "states/sec" "speedup";
-  List.iter
-    (fun row ->
-      List.iter
-        (fun s ->
-          Fmt.pr "%-18s %8d %6d %9.3f %12.0f %8.2fx@." row.sc_model
-            row.sc_states s.sj_jobs s.sj_wall s.sj_per_sec
-            (scaling_speedup row s.sj_jobs))
-        row.sc_samples;
-      Fmt.pr "%-18s results identical across jobs: %b@." row.sc_model
-        row.sc_identical)
-    r.sr_rows
-
-(* Emits the scaling object ({ "cores": ..., "models": [...] }); [indent]
-   is the prefix of the lines inside the object, the closing brace sits
-   at [indent] minus one level (matching the manual-JSON style above). *)
-let bprint_scaling buf ~indent r =
-  let pf fmt = Printf.bprintf buf fmt in
-  pf "{\n";
-  pf "%s  \"cores\": %d,\n" indent r.sr_cores;
-  pf "%s  \"jobs\": [%s],\n" indent
-    (String.concat ", " (List.map string_of_int scaling_jobs));
-  pf "%s  \"gate\": %S,\n" indent (scaling_gate_label r.sr_gate);
-  pf "%s  \"gate_threshold_jobs4_vs_jobs1\": %.1f,\n" indent
-    scaling_gate_threshold;
-  pf "%s  \"largest_model\": %S,\n" indent r.sr_largest;
-  pf "%s  \"largest_speedup_jobs4_vs_jobs1\": %.3f,\n" indent r.sr_speedup4;
-  pf "%s  \"models\": [\n" indent;
-  List.iteri
-    (fun i row ->
-      pf "%s    {\n" indent;
-      pf "%s      \"model\": %S,\n" indent row.sc_model;
-      pf "%s      \"states\": %d, \"transitions\": %d, \"deadlocks\": %d,\n"
-        indent row.sc_states row.sc_transitions row.sc_deadlocks;
-      pf "%s      \"identical_across_jobs\": %b,\n" indent row.sc_identical;
-      pf "%s      \"samples\": [\n" indent;
-      List.iteri
-        (fun j s ->
-          pf
-            "%s        { \"jobs\": %d, \"wall_s\": %.6f, \"states_per_sec\": \
-             %.1f, \"speedup_vs_jobs1\": %.3f }%s\n"
-            indent s.sj_jobs s.sj_wall s.sj_per_sec
-            (scaling_speedup row s.sj_jobs)
-            (if j < List.length row.sc_samples - 1 then "," else ""))
-        row.sc_samples;
-      pf "%s      ]\n" indent;
-      pf "%s    }%s\n" indent
-        (if i < List.length r.sr_rows - 1 then "," else ""))
-    r.sr_rows;
-  pf "%s  ]\n" indent;
-  pf "%s}" indent
-
-(* Prints the verdict and exits non-zero on a failed gate; call last so
-   the telemetry file is written even when the gate trips. *)
-let enforce_scaling_gate r =
-  match r.sr_gate with
-  | `Passed ->
-      Fmt.pr "scaling gate: jobs4/jobs1 %.2fx >= %.1fx on %s — OK@."
-        r.sr_speedup4 scaling_gate_threshold r.sr_largest
-  | `Skipped ->
-      Fmt.pr
-        "scaling gate: skipped — %d core(s) available; on fewer than 4 \
-         cores the ratio measures timeslicing, not scaling@."
-        r.sr_cores
-  | `Failed_speedup ->
-      Fmt.pr
-        "scaling gate: FAILED — jobs4/jobs1 %.2fx < %.1fx on %s with %d \
-         cores@."
-        r.sr_speedup4 scaling_gate_threshold r.sr_largest r.sr_cores;
-      exit 1
-  | `Failed_identity ->
-      Fmt.pr
-        "scaling gate: FAILED — results differ across jobs (determinism \
-         contract violated)@.";
-      exit 1
-
-let scaling_section ~json_path () =
-  let r = measure_scaling () in
-  print_scaling r;
-  let buf = Buffer.create 2048 in
-  let pf fmt = Printf.bprintf buf fmt in
-  pf "{\n  \"benchmark\": \"work-stealing scaling\",\n";
-  pf "  \"note\": \"exhaustive on-the-fly checks at jobs 1/2/4; results \
-      asserted identical across jobs; the gate is enforced only on hosts \
-      with >= 4 cores\",\n";
-  pf "  \"scaling\": ";
-  bprint_scaling buf ~indent:"  " r;
-  pf "\n}\n";
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Fmt.pr "telemetry written to %s@." json_path;
-  enforce_scaling_gate r
-
 let explore_section ~json_path () =
   hr "EXPLORE: baseline (structural hashing) vs hash-consed engine";
   let results =
@@ -888,10 +666,6 @@ let explore_section ~json_path () =
         ("avionics", Gen.avionics ());
       ]
   in
-  (* scaling before the early-exit full build: the 96k-state graph it
-     retains would otherwise depress the scaling rows' absolute
-     throughput relative to the engine table above *)
-  let scaling = measure_scaling () in
   let ee_name = "e6_seven_threads_unsched" in
   let ee = early_exit_model (e6_unsched 7) in
   Fmt.pr "%-16s %-20s %8s %11s %9s %12s@." "model" "engine" "states"
@@ -908,8 +682,8 @@ let explore_section ~json_path () =
     (fun (name, samples, counts_ok, verdicts_ok) ->
       let per e = (List.nth samples e).states_per_sec in
       Fmt.pr
-        "%s: speedup jobs1=%.2fx jobs4=%.2fx vs baseline; counts agree: %b; \
-         verdicts agree: %b@."
+        "%s: speedup full=%.2fx on-the-fly=%.2fx vs baseline; counts agree: \
+         %b; verdicts agree: %b@."
         name
         (per 1 /. per 0)
         (per 2 /. per 0)
@@ -920,7 +694,6 @@ let explore_section ~json_path () =
      (%.3fs) — %.1f%% of the space visited; scenarios agree: %b@."
     ee_name ee.ee_full_states ee.ee_full_wall ee.ee_otf_states ee.ee_otf_wall
     (100. *. ee.ee_fraction) ee.ee_traces_agree;
-  print_scaling scaling;
   (* manual JSON — no JSON library in the dependency set *)
   let buf = Buffer.create 2048 in
   let pf fmt = Printf.bprintf buf fmt in
@@ -943,8 +716,8 @@ let explore_section ~json_path () =
             (if j < List.length samples - 1 then "," else ""))
         samples;
       pf "      ],\n";
-      pf "      \"speedup_jobs1_vs_baseline\": %.3f,\n" (per 1 /. per 0);
-      pf "      \"speedup_jobs4_vs_baseline\": %.3f,\n" (per 2 /. per 0);
+      pf "      \"speedup_full_vs_baseline\": %.3f,\n" (per 1 /. per 0);
+      pf "      \"speedup_on_the_fly_vs_baseline\": %.3f,\n" (per 2 /. per 0);
       pf "      \"state_counts_agree\": %b,\n" counts_ok;
       pf "      \"verdicts_agree\": %b\n" verdicts_ok;
       pf "    }%s\n" (if i < List.length results - 1 then "," else ""))
@@ -958,16 +731,12 @@ let explore_section ~json_path () =
     ee.ee_otf_states ee.ee_otf_wall;
   pf "    \"visited_fraction\": %.4f,\n" ee.ee_fraction;
   pf "    \"scenarios_agree\": %b\n" ee.ee_traces_agree;
-  pf "  },\n";
-  pf "  \"scaling\": ";
-  bprint_scaling buf ~indent:"  " scaling;
-  pf "\n}\n";
+  pf "  }\n}\n";
   let oc = open_out json_path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (Buffer.contents buf));
-  Fmt.pr "telemetry written to %s@." json_path;
-  enforce_scaling_gate scaling
+  Fmt.pr "telemetry written to %s@." json_path
 
 (* {1 Service: batch throughput with the verdict cache on vs off}
 
@@ -1080,10 +849,10 @@ let service_section ~json_path () =
              times; cache hits skip exploration entirely" );
         ("jobs", Service.Json.Int n);
         ("distinct_models", Service.Json.Int num_distinct);
-        (* host attribution, as in the scaling gate: worker-count
-           comparisons are only meaningful relative to the cores the
-           host actually had (on a 1-core container, 4 workers measure
-           timeslicing, not parallelism) *)
+        (* host attribution: worker-count comparisons are only
+           meaningful relative to the cores the host actually had (on a
+           1-core container, 4 workers measure timeslicing, not
+           parallelism) *)
         ("cores", Service.Json.Int (Domain.recommended_domain_count ()));
         ( "runs",
           Service.Json.List
@@ -1641,8 +1410,8 @@ let obs_section ~json_path () =
 
    Runs in seconds, not minutes: both engines on a handful of small
    schedulable and unschedulable models, with early exit on and off,
-   asserting identical verdicts, state/transition counts, deadlock ids
-   and failing-scenario steps.  Exits non-zero on any mismatch. *)
+   asserting identical verdicts, stats counts, deadlock ids and
+   failing-scenario steps.  Exits non-zero on any mismatch. *)
 
 let smoke () =
   hr "SMOKE: full vs on-the-fly engine agreement";
@@ -1678,11 +1447,21 @@ let smoke () =
                 true
             | _ -> false
           in
+          let stats_counts r =
+            let s = Versa.Explorer.stats r in
+            Versa.Lts.
+              ( s.num_states,
+                s.num_transitions,
+                s.num_deadlocks,
+                s.peak_frontier,
+                s.depth_levels,
+                s.intern_hits,
+                s.intern_misses,
+                s.early_exit_depth )
+          in
           let counts_agree =
-            Versa.Explorer.num_states rf = Versa.Explorer.num_states ro
-            && Versa.Explorer.num_transitions rf
-               = Versa.Explorer.num_transitions ro
-            && Versa.Explorer.deadlocks rf = Versa.Explorer.deadlocks ro
+            Versa.Explorer.deadlocks rf = Versa.Explorer.deadlocks ro
+            && stats_counts rf = stats_counts ro
           in
           let ok = verdicts_agree && counts_agree in
           if not ok then incr failures;
@@ -1690,20 +1469,6 @@ let smoke () =
             (if ok then "OK" else "MISMATCH"))
         [ true; false ])
     models;
-  (* parallelism must not change on-the-fly results either *)
-  let defs, system = translate_text (e6_model 4) in
-  let otf jobs =
-    Versa.Explorer.check_deadlock ~engine:Versa.Explorer.On_the_fly
-      ~stop_at_deadlock:false ~jobs defs system
-  in
-  let r1 = otf 1 and r4 = otf 4 in
-  let jobs_ok =
-    Versa.Explorer.num_states r1 = Versa.Explorer.num_states r4
-    && Versa.Explorer.deadlocks r1 = Versa.Explorer.deadlocks r4
-  in
-  if not jobs_ok then incr failures;
-  Fmt.pr "%-18s jobs1-vs-jobs4        %s@." "e6_four_threads"
-    (if jobs_ok then "OK" else "MISMATCH");
   if !failures = 0 then Fmt.pr "smoke: all engines agree@."
   else begin
     Fmt.pr "smoke: %d mismatches@." !failures;
@@ -1938,11 +1703,6 @@ let () =
         match rest with p :: _ -> p | [] -> "BENCH_explore.json"
       in
       explore_section ~json_path ()
-  | _ :: "scaling" :: rest ->
-      let json_path =
-        match rest with p :: _ -> p | [] -> "BENCH_scaling.json"
-      in
-      scaling_section ~json_path ()
   | _ :: "service" :: rest ->
       let json_path =
         match rest with p :: _ -> p | [] -> "BENCH_service.json"

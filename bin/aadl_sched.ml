@@ -91,14 +91,6 @@ let max_states_arg =
     & info [ "max-states" ] ~docv:"N"
         ~doc:"State budget for the exploration.")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Domains used to compute successors in parallel during the \
-           exploration.  The result is identical for any value.")
-
 let timeout_arg =
   Arg.(
     value
@@ -411,8 +403,8 @@ let translate_cmd =
 
 (* {1 analyze} *)
 
-let run_analyze file root_name quantum protocol max_states jobs engine
-    timeout stats trace all baselines symmetry virtual_time =
+let run_analyze file root_name quantum protocol max_states engine timeout
+    stats trace all baselines symmetry virtual_time =
   handle_errors @@ fun () ->
   with_virtual_clock virtual_time @@ fun () ->
   with_trace trace @@ fun () ->
@@ -423,7 +415,6 @@ let run_analyze file root_name quantum protocol max_states jobs engine
         translation_options quantum protocol;
       max_states;
       all_violations = all;
-      jobs;
       engine;
       deadline = Option.map (fun s -> Timed.Clock.gettimeofday () +. s) timeout;
       poll = None;
@@ -479,7 +470,7 @@ let analyze_cmd =
           detection.")
     Term.(
       const run_analyze $ file_arg $ root_arg $ quantum_arg $ protocol_arg
-      $ max_states_arg $ jobs_arg $ engine_arg $ timeout_arg $ stats_arg
+      $ max_states_arg $ engine_arg $ timeout_arg $ stats_arg
       $ trace_arg $ all_arg $ baselines_arg $ symmetry_arg $ virtual_time_arg)
 
 (* {1 simulate} *)
@@ -535,8 +526,8 @@ let path_conv =
   let parse s = Ok (String.split_on_char '.' s) in
   Arg.conv (parse, Aadl.Instance.pp_path)
 
-let run_latency file root_name quantum protocol jobs trace from_thread
-    to_thread bound_us =
+let run_latency file root_name quantum protocol trace from_thread to_thread
+    bound_us =
   handle_errors @@ fun () ->
   with_trace trace @@ fun () ->
   let root = load_root file root_name in
@@ -544,7 +535,6 @@ let run_latency file root_name quantum protocol jobs trace from_thread
     {
       Analysis.Latency.translation_options = translation_options quantum protocol;
       max_states = 2_000_000;
-      jobs;
       engine = Analysis.Latency.default_options.Analysis.Latency.engine;
     }
   in
@@ -584,7 +574,7 @@ let latency_cmd =
        ~doc:"Check an end-to-end latency bound with an observer process.")
     Term.(
       const run_latency $ file_arg $ root_arg $ quantum_arg $ protocol_arg
-      $ jobs_arg $ trace_arg $ from_arg $ to_arg $ bound_arg)
+      $ trace_arg $ from_arg $ to_arg $ bound_arg)
 
 (* {1 sensitivity} *)
 
@@ -685,7 +675,7 @@ let sensitivity_cmd =
 
 (* {1 report} *)
 
-let run_report file root_name quantum protocol max_states jobs engine
+let run_report file root_name quantum protocol max_states engine
     with_responses output =
   handle_errors @@ fun () ->
   let root = load_root file root_name in
@@ -697,7 +687,6 @@ let run_report file root_name quantum protocol max_states jobs engine
             translation_options quantum protocol;
           max_states;
           all_violations = false;
-          jobs;
           engine;
           deadline = None;
           poll = None;
@@ -735,13 +724,12 @@ let report_cmd =
        ~doc:"Produce a self-contained markdown analysis report.")
     Term.(
       const run_report $ file_arg $ root_arg $ quantum_arg $ protocol_arg
-      $ max_states_arg $ jobs_arg $ engine_arg $ with_responses_arg
+      $ max_states_arg $ engine_arg $ with_responses_arg
       $ report_output_arg)
 
 (* {1 acsr: analyze a textual ACSR model directly (VERSA-style)} *)
 
-let run_acsr file entry dot unprioritized quotient max_states jobs stats
-    trace =
+let run_acsr file entry dot unprioritized quotient max_states stats trace =
   handle_errors @@ fun () ->
   with_trace trace @@ fun () ->
   let contents =
@@ -775,7 +763,7 @@ let run_acsr file entry dot unprioritized quotient max_states jobs stats
           stop_at_deadlock = false;
         }
       in
-      let lts = Versa.Lts.build ~config ~semantics ~jobs defs root in
+      let lts = Versa.Lts.build ~config ~semantics defs root in
       Fmt.pr "%a@." Versa.Lts.pp_summary lts;
       if stats then print_registry ();
       (match Versa.Explorer.deadlock_verdict lts with
@@ -830,18 +818,12 @@ let acsr_cmd =
           deadlock detection, diagnostic traces, DOT export.")
     Term.(
       const run_acsr $ file_arg $ entry_arg $ dot_arg $ unprioritized_arg
-      $ quotient_arg $ max_states_arg $ jobs_arg $ stats_arg $ trace_arg)
+      $ quotient_arg $ max_states_arg $ stats_arg $ trace_arg)
 
 (* {1 batch / serve: the analysis service layer} *)
 
-let service_config engine no_cache cache_size exploration_jobs =
-  let config =
-    {
-      Service.Runner.default_config with
-      engine;
-      jobs = exploration_jobs;
-    }
-  in
+let service_config engine no_cache cache_size =
+  let config = { Service.Runner.default_config with engine } in
   if no_cache then config
   else Service.Runner.with_cache ~capacity:cache_size config
 
@@ -1052,7 +1034,7 @@ let run_batch manifest workers engine no_cache cache_size timeout stats trace
       match connect with
       | Some addr -> run_batch_connect addr requests stats
       | None ->
-      let config = service_config engine no_cache cache_size 1 in
+      let config = service_config engine no_cache cache_size in
       let scheduler = Service.Scheduler.create ~workers config in
       List.iter
         (fun r -> ignore (Service.Scheduler.submit scheduler r))
@@ -1227,8 +1209,8 @@ let start_scrape socket metrics_listen ~health =
           Fmt.epr "metrics-listen: %s: %s@." addr (Unix.error_message e);
           exit 2)
 
-let run_serve engine no_cache cache_size exploration_jobs trace listen
-    route_to journal metrics_listen log_json =
+let run_serve engine no_cache cache_size trace listen route_to journal
+    metrics_listen log_json =
   with_log_json log_json @@ fun () ->
   with_trace trace @@ fun () ->
   match route_to with
@@ -1268,9 +1250,7 @@ let run_serve engine no_cache cache_size exploration_jobs trace listen
       | None when journal <> None -> (
           (* stdio conversation, but with the shard stack so verdicts
              persist across sessions *)
-          let base =
-            { Service.Runner.default_config with engine; jobs = exploration_jobs }
-          in
+          let base = { Service.Runner.default_config with engine } in
           match
             Service.Shard.create ?journal ~capacity:cache_size ~name:"serve"
               base
@@ -1288,9 +1268,7 @@ let run_serve engine no_cache cache_size exploration_jobs trace listen
               Service.Shard.close shard;
               0)
       | None ->
-          let config =
-            service_config engine no_cache cache_size exploration_jobs
-          in
+          let config = service_config engine no_cache cache_size in
           (* The scrape health view shares [config] — and so the live
              cache — with the serving loop's own protocol instance. *)
           let health_protocol = Service.Protocol.create ~name:"serve" config in
@@ -1305,9 +1283,7 @@ let run_serve engine no_cache cache_size exploration_jobs trace listen
           (* Single-shard socket service.  A shard always caches (the
              journal replays into the cache); --no-cache is a stdio-only
              knob. *)
-          let base =
-            { Service.Runner.default_config with engine; jobs = exploration_jobs }
-          in
+          let base = { Service.Runner.default_config with engine } in
           match
             Service.Shard.create ?journal ~capacity:cache_size ~name:addr base
           with
@@ -1357,17 +1333,15 @@ let serve_cmd =
           $(b,--metrics-listen) additionally serves the process metrics \
           over HTTP for scraping.")
     Term.(
-      const run_serve $ engine_arg $ no_cache_arg $ cache_size_arg $ jobs_arg
-      $ trace_arg $ listen_arg $ route_to_arg $ journal_arg
+      const run_serve $ engine_arg $ no_cache_arg $ cache_size_arg $ trace_arg
+      $ listen_arg $ route_to_arg $ journal_arg
       $ metrics_listen_arg $ log_json_arg)
 
-let run_shard listen journal shard_name cache_size engine exploration_jobs
-    trace metrics_listen log_json =
+let run_shard listen journal shard_name cache_size engine trace
+    metrics_listen log_json =
   with_log_json log_json @@ fun () ->
   with_trace trace @@ fun () ->
-  let base =
-    { Service.Runner.default_config with engine; jobs = exploration_jobs }
-  in
+  let base = { Service.Runner.default_config with engine } in
   let name = Option.value ~default:listen shard_name in
   (* Node names end up in trace-context headers, which are split on
      '/', so slug the address ("unix:/tmp/x.sock" and the like). *)
@@ -1418,8 +1392,8 @@ let shard_cmd =
           & opt (some string) None
           & info [ "listen" ] ~docv:"ADDR"
               ~doc:"Socket address to serve: unix:PATH or tcp:HOST:PORT.")
-      $ journal_arg $ shard_name_arg $ cache_size_arg $ engine_arg $ jobs_arg
-      $ trace_arg $ metrics_listen_arg $ log_json_arg)
+      $ journal_arg $ shard_name_arg $ cache_size_arg $ engine_arg $ trace_arg
+      $ metrics_listen_arg $ log_json_arg)
 
 (* {1 cluster-stats} *)
 

@@ -15,11 +15,11 @@
 
    The intern table is global and sharded, each shard behind its own mutex,
    so successor construction can run concurrently from several domains
-   (used by the parallel explorer in [Versa.Lts]).  Node ids depend on
-   interning order and are therefore not deterministic across runs when
-   several domains intern concurrently; nothing order-sensitive may depend
-   on ids — canonical orderings must use [compare_structural], which
-   mirrors [Stdlib.compare] on the corresponding [Proc.t] values. *)
+   (the service tier runs explorations on several at once).  Node ids
+   depend on interning order and are therefore not deterministic across
+   runs when several domains intern concurrently; nothing order-sensitive
+   may depend on ids — canonical orderings must use [compare_structural],
+   which mirrors [Stdlib.compare] on the corresponding [Proc.t] values. *)
 
 type t = { id : int; hash : int; node : node }
 

@@ -182,8 +182,9 @@ let is_deadlocked defs p = steps defs p = []
    Call unfolding (substitute evaluated arguments through the definition
    body, then intern the result) is memoized per (name, arguments): the
    translated AADL models re-enter the same few definition instances at
-   every state.  The cache is mutex-protected so the parallel explorer can
-   share one across domains. *)
+   every state.  The cache is mutex-protected, so one cache may be shared
+   by several domains; each exploration makes its own, and the service
+   tier runs explorations on several domains at once. *)
 
 type cache = {
   lock : Mutex.t;

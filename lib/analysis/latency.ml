@@ -58,7 +58,6 @@ let observer_defs ~start_l ~end_l ~bound =
 type options = {
   translation_options : Translate.Pipeline.options;
   max_states : int;
-  jobs : int;  (** domains for parallel exploration *)
   engine : Versa.Explorer.engine;
 }
 
@@ -66,7 +65,6 @@ let default_options =
   {
     translation_options = Translate.Pipeline.default_options;
     max_states = 2_000_000;
-    jobs = 1;
     engine = Versa.Explorer.On_the_fly;
   }
 
@@ -134,7 +132,7 @@ let check ?(options = default_options) ~(from_thread : string list)
      remains available for graph consumers (DOT export). *)
   let exploration =
     Versa.Explorer.check_deadlock ~engine:options.engine
-      ~max_states:options.max_states ~jobs:options.jobs defs system
+      ~max_states:options.max_states defs system
   in
   let verdict =
     match exploration.Versa.Explorer.verdict with

@@ -23,7 +23,6 @@ type options = {
   max_states : int;
   all_violations : bool;
       (** explore exhaustively instead of stopping at the first deadlock *)
-  jobs : int;  (** domains for parallel successor computation *)
   engine : Versa.Explorer.engine;
       (** [On_the_fly] (the default) answers the yes/no question with the
           compact early-exit engine; [Full] materializes the graph for
@@ -50,7 +49,6 @@ let default_options =
     translation_options = Translate.Pipeline.default_options;
     max_states = 2_000_000;
     all_violations = false;
-    jobs = 1;
     engine = Versa.Explorer.On_the_fly;
     deadline = None;
     poll = None;
@@ -66,7 +64,7 @@ let analyze_translation ~options (tr : Translate.Pipeline.t) : t =
     Versa.Explorer.check_deadlock ~engine:options.engine
       ~max_states:options.max_states
       ~stop_at_deadlock:(not options.all_violations)
-      ~jobs:options.jobs ?deadline:options.deadline ?poll:options.poll
+      ?deadline:options.deadline ?poll:options.poll
       ~symmetry tr.Translate.Pipeline.defs tr.Translate.Pipeline.system
   in
   let verdict =

@@ -19,7 +19,6 @@ type options = {
   translation_options : Translate.Pipeline.options;
   max_states : int;
   all_violations : bool;
-  jobs : int;  (** domains for parallel exploration (default 1) *)
   engine : Versa.Explorer.engine;
       (** exploration engine (default [On_the_fly]): the compact
           early-exit checker for plain verdicts, or [Full] when the

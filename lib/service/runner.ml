@@ -50,7 +50,6 @@ let create_attribution () =
 
 type config = {
   cache : Job.outcome Lru.t option;
-  jobs : int;
   engine : Versa.Explorer.engine;
   fragments : Translate.Fragment_cache.t option;
   attribution : attribution option;
@@ -60,7 +59,6 @@ type config = {
 let default_config =
   {
     cache = None;
-    jobs = 1;
     engine = Versa.Explorer.On_the_fly;
     fragments = None;
     attribution = None;
@@ -161,7 +159,6 @@ let analysis_options (config : config) (req : Job.request) ~now ~cancel =
     Analysis.Schedulability.translation_options = Key.translation_options req;
     max_states = req.max_states;
     all_violations = false;
-    jobs = config.jobs;
     engine = config.engine;
     deadline = Option.map (fun s -> now +. s) req.timeout_s;
     poll = cancel;

@@ -3,9 +3,8 @@
     Jobs are submitted with a priority ({!Job.request.priority}) and
     drained by {!run_all}, which executes them over a {!Versa.Pool} of
     worker domains: higher-priority jobs start first, ties break by
-    submission order.  Each job may additionally parallelise its own
-    exploration ({!Runner.config.jobs}), so total domain use is
-    [workers * per-job jobs]; keep the product near the core count.
+    submission order.  Each job explores on the one domain that runs it,
+    so [workers] is the total domain use; keep it near the core count.
 
     Concurrent jobs are safe because every shared structure below the
     runner is domain-safe: the hash-consing tables are sharded and

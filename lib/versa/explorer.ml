@@ -3,15 +3,16 @@
    with its shortest trace, which serves as the failing scenario raised back
    to the AADL model by the analysis layer (paper, Section 5).
 
-   Two engines produce the same verdicts and traces:
-   - [Full] materializes the whole graph ([Lts.build]) — needed when the
-     caller wants to walk it afterwards (DOT export, bisimulation,
-     observer/latency queries over successor rows);
-   - [On_the_fly] ([Lts.check]) keeps only a compact parent-pointer store
-     and, with [stop_at_deadlock], terminates at the first reachable
-     deadlock — the default for plain schedulability queries, where an
-     unschedulable model is decided in time proportional to the distance
-     to the first deadline miss. *)
+   Two engines, one exploration loop, the same verdicts and traces:
+   - [Full] materializes the whole graph ([Lts.build], the loop with its
+     row recorder) — needed when the caller wants to walk it afterwards
+     (DOT export, bisimulation, observer/latency queries over successor
+     rows);
+   - [On_the_fly] ([Lts.check], the bare loop) keeps only a compact
+     parent-pointer store and, with [stop_at_deadlock], terminates at the
+     first reachable deadlock — the default for plain schedulability
+     queries, where an unschedulable model is decided in time
+     proportional to the distance to the first deadline miss. *)
 
 type engine = Full | On_the_fly
 
@@ -59,7 +60,7 @@ let check_verdict c =
       else Deadlock_free
 
 let check_deadlock ?(engine = Full) ?(max_states = 2_000_000)
-    ?(stop_at_deadlock = true) ?(jobs = 1) ?deadline ?poll
+    ?(stop_at_deadlock = true) ?deadline ?poll
     ?(symmetry = Acsr.Symmetry.empty) defs root =
   Obs.Span.with_ ~name:"explore"
     ~attrs:
@@ -67,26 +68,18 @@ let check_deadlock ?(engine = Full) ?(max_states = 2_000_000)
   @@ fun () ->
   let t0 = Timed.Clock.gettimeofday () in
   let config =
-    {
-      Lts.default_config with
-      max_states = Some max_states;
-      stop_at_deadlock;
-      deadline;
-      poll;
-    }
+    { Lts.max_states = Some max_states; stop_at_deadlock; deadline; poll }
   in
   let space, verdict =
     match engine with
     | Full ->
         let lts =
-          Lts.build ~config ~semantics:Lts.Prioritized ~jobs ~symmetry defs
-            root
+          Lts.build ~config ~semantics:Lts.Prioritized ~symmetry defs root
         in
         (Graph lts, deadlock_verdict lts)
     | On_the_fly ->
         let c =
-          Lts.check ~config ~semantics:Lts.Prioritized ~jobs ~symmetry defs
-            root
+          Lts.check ~config ~semantics:Lts.Prioritized ~symmetry defs root
         in
         (Summary c, check_verdict c)
   in

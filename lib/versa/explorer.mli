@@ -37,7 +37,6 @@ val check_deadlock :
   ?engine:engine ->
   ?max_states:int ->
   ?stop_at_deadlock:bool ->
-  ?jobs:int ->
   ?deadline:float ->
   ?poll:(unit -> bool) ->
   ?symmetry:Symmetry.spec ->
@@ -51,15 +50,10 @@ val check_deadlock :
     [true]) stops at the first deadlock; with [false] the space is
     explored exhaustively (up to [max_states], default 2M).
 
-    [jobs] (default 1) is the number of work-stealing worker domains
-    prefetching successor rows, forwarded to {!Lts.build}/{!Lts.check};
-    it changes throughput only — verdicts, deadlock ids and traces are
-    bit-identical at any [jobs] (the determinism contract in {!Lts}).
-
     [deadline] is an absolute bound on the ambient {!Timed.Clock}
     scale: past it the exploration truncates and the verdict is
     [Inconclusive "wall-clock budget expired …"], never a hang.  [poll]
-    is a cooperative cancellation hook checked between merge steps
+    is a cooperative cancellation hook checked before each expansion
     ({!Lts.build_config}).
 
     [symmetry] (default {!Acsr.Symmetry.empty}) enables orbit reduction

@@ -3,28 +3,19 @@
 
    States are closed process terms, interned into integer ids in BFS
    discovery order (the initial state has id 0).  Each state records its
-   outgoing (step, successor) row and its BFS parent, so that shortest
+   BFS parent and the step that first reached it, so that shortest
    diagnostic traces can be rebuilt without re-exploration — this mirrors
    what the VERSA tool reports to the user (paper, Section 5).
 
    Terms are hash-consed ([Acsr.Hproc]), so the state table keys on an
    integer id and every successor comparison is O(1).
 
-   Parallelism ([jobs] > 1) is work-stealing prefetch, not chunked
-   fan-out: worker domains traverse the state graph asynchronously —
-   each with a private Chase–Lev deque ([Deque]), stealing from siblings
-   only on exhaustion — and record every successor row they compute in a
-   digest-range-sharded store ([Shards]).  The calling domain
-   meanwhile runs the *sequential* BFS loop unchanged — the replay —
-   consuming prefetched rows where the workers got there first and
-   computing the rest itself.  Successor computation is deterministic,
-   so both paths yield the same row; interning, parent assignment,
-   budget and truncation checks all happen on the replay in queue order.
-   A parallel build therefore produces bit-identical ids, parents,
-   depths, rows, verdicts and traces to the sequential one — not by
-   post-hoc sorting but because the replay *is* the sequential
-   algorithm; the workers only move row computation off its critical
-   path (checked by the test suite). *)
+   There is one exploration loop ([explore]) over one store ([Store]).
+   [check] runs it bare; [build] runs it with a row recorder that keeps
+   each expanded state's (step, successor id) row, which is all a
+   materialized graph adds.  Both therefore visit the same states in the
+   same order and report the same ids, parents, deadlocks, traces and
+   stats counts. *)
 
 open Acsr
 
@@ -110,42 +101,6 @@ module Metrics = struct
     Obs.Histogram.make ~help:"Exploration wall time (seconds)"
       "versa_explore_wall_seconds"
 
-  let steals =
-    Obs.Counter.make ~help:"Successful deque steals by explorer worker domains"
-      "versa_steals_total"
-
-  let steal_attempts =
-    Obs.Counter.make ~help:"Deque steal attempts by explorer worker domains"
-      "versa_steal_attempts_total"
-
-  let prefetch_hits =
-    Obs.Counter.make
-      ~help:"Replay successor lookups answered by a prefetched row"
-      "versa_prefetch_hits_total"
-
-  let prefetch_misses =
-    Obs.Counter.make
-      ~help:"Replay successor lookups computed on the calling domain"
-      "versa_prefetch_misses_total"
-
-  let shard_contention =
-    Obs.Counter.make
-      ~help:"Visited-set shard lock acquisitions that had to block"
-      "versa_shard_contention_total"
-
-  let shard_contention_ratio =
-    Obs.Gauge.make
-      ~help:
-        "Blocked fraction of shard lock acquisitions in the most recent \
-         parallel exploration"
-      "versa_shard_contention_ratio"
-
-  let queue_depth =
-    Obs.Histogram.make
-      ~help:"Per-domain work deque depth, sampled at each worker expansion"
-      ~buckets:[ 1.; 4.; 16.; 64.; 256.; 1_024.; 4_096. ]
-      "versa_ws_queue_depth"
-
   let orbit_hits =
     Obs.Counter.make
       ~help:"Successor states folded onto a different orbit representative"
@@ -173,10 +128,9 @@ type semantics = Prioritized | Unprioritized
 type state_id = int
 
 type stats = {
-  jobs : int;
   wall_s : float;  (** total build time *)
-  expand_s : float;  (** computing successor sets (parallel part) *)
-  merge_s : float;  (** interning + BFS bookkeeping (sequential part) *)
+  expand_s : float;  (** computing successor sets *)
+  merge_s : float;  (** interning + BFS bookkeeping *)
   num_states : int;
   num_transitions : int;
   num_deadlocks : int;
@@ -193,12 +147,6 @@ type stats = {
       (** BFS depth of the deadlock that stopped an early-exit run *)
   deadline_expired : bool;
       (** the wall-clock budget ([config.deadline]) stopped the run *)
-  steals : int;  (** successful deque steals by worker domains *)
-  steal_attempts : int;  (** steal attempts (successful or not) *)
-  prefetch_hits : int;
-      (** replay successor lookups answered by a prefetched row *)
-  prefetch_misses : int;
-      (** replay successor lookups computed on the calling domain *)
   orbit_hits : int;
       (** successors the symmetry reduction folded onto a different orbit
           representative; 0 when symmetry is off or trivial *)
@@ -238,10 +186,6 @@ let publish_stats s =
   Obs.Counter.incr ~by:s.memo_hits Metrics.step_memo_hits;
   Obs.Counter.incr ~by:s.memo_misses Metrics.step_memo_misses;
   Obs.Gauge.set Metrics.store_bytes (float_of_int s.store_bytes);
-  Obs.Counter.incr ~by:s.steals Metrics.steals;
-  Obs.Counter.incr ~by:s.steal_attempts Metrics.steal_attempts;
-  Obs.Counter.incr ~by:s.prefetch_hits Metrics.prefetch_hits;
-  Obs.Counter.incr ~by:s.prefetch_misses Metrics.prefetch_misses;
   Obs.Counter.incr ~by:s.orbit_hits Metrics.orbit_hits;
   Obs.Counter.incr ~by:s.orbit_misses Metrics.orbit_misses;
   if s.orbit_hits + s.orbit_misses > 0 then
@@ -259,11 +203,9 @@ let step_function semantics cache defs =
    which parallel slots hold interchangeable components, under which
    renamings), every successor is canonicalized *before* the visited-set
    lookup, so the exploration visits one representative per orbit.  The
-   wrapper sits inside [next], which both the replay and the prefetch
-   workers call — reduction therefore composes with [jobs] without
-   touching the oracle: workers prefetch canonical rows, the replay
-   interns canonical states, and the bit-identity argument is unchanged
-   (canonicalization is deterministic).
+   wrapper sits inside [next], so the loop itself never sees a
+   non-canonical state; canonicalization is deterministic, so a reduced
+   run is as reproducible as an unreduced one.
 
    Soundness: each spec member is equal to its class representative up
    to a renaming of generated names, so permuting member slots while
@@ -283,10 +225,11 @@ module Sym = struct
     spec : Symmetry.spec;
     raw_root : Hproc.t;
     defs : Defs.t;
-    (* tallies are atomics because [wrap] runs on worker domains too;
-       workers and the replay can both canonicalize the same row, so
-       parallel runs over-count — like [prefetch_misses], these are
-       telemetry, not part of the bit-identical result contract *)
+    (* Only the domain running the exploration writes these tallies.
+       They stay atomics so that the record is safe to read from any
+       domain (the service scheduler runs explorations on several at
+       once); an uncontended atomic increment per successor is lost in
+       the cost of canonicalization itself. *)
     hits : int Atomic.t;
     misses : int Atomic.t;
     canon_us : int Atomic.t;
@@ -397,78 +340,26 @@ module Sym = struct
       path
 end
 
-type t = {
-  term_of : Hproc.t array;  (** state id -> term *)
-  edges : (Step.t * state_id) array array;  (** outgoing transitions *)
-  expanded : bool array;
-      (** whether the state's successors were computed; frontier states of
-          a truncated exploration are not expanded *)
-  parent : (state_id * Step.t) option array;  (** BFS tree, for traces *)
-  depth : int array;  (** BFS depth *)
-  truncated : bool;  (** true if exploration stopped before exhaustion *)
-  semantics : semantics;
-  transitions : int;  (** cached at build time *)
-  deadlock_ids : state_id list;  (** cached at build time, discovery order *)
-  stats : stats;
-  sym : Sym.t option;  (** present when symmetry reduction was active *)
-}
-
-let num_states lts = Array.length lts.term_of
-let num_transitions lts = lts.transitions
-
-let initial (_ : t) : state_id = 0
-let term lts id = Hproc.to_proc lts.term_of.(id)
-let successors lts id = lts.edges.(id)
-let depth lts id = lts.depth.(id)
-let truncated lts = lts.truncated
-let semantics_of lts = lts.semantics
-let stats lts = lts.stats
-
-let is_deadlock lts id = lts.expanded.(id) && Array.length lts.edges.(id) = 0
-
-let deadlocks lts = lts.deadlock_ids
-
-(* Rebuild the BFS-shortest path from the initial state to [id] as a list
-   of (step, reached state). *)
-let path_to lts id =
-  let rec up id acc =
-    match lts.parent.(id) with
-    | None -> acc
-    | Some (pred, step) -> up pred ((step, id) :: acc)
-  in
-  let path = up id [] in
-  match lts.sym with
-  | None -> path
-  | Some s ->
-      Sym.decanon_steps s ~semantics:lts.semantics
-        ~term_at:(fun i -> lts.term_of.(i))
-        path
-
 type build_config = {
   max_states : int option;  (** stop after discovering this many states *)
   stop_at_deadlock : bool;
       (** stop expanding as soon as one deadlock has been discovered *)
-  parallel_cutover : int;
-      (** frontier width below which expansion stays sequential even when
-          [jobs > 1] *)
   deadline : float option;
       (** absolute time on the ambient [Timed.Clock] scale past which
           the exploration stops and reports truncation — the time-domain
           twin of [max_states] *)
   poll : (unit -> bool) option;
-      (** cooperative stop hook, checked between merge steps: returning
+      (** cooperative stop hook, checked before each expansion: returning
           [true] truncates the run (job cancellation in the service
           layer) *)
 }
 
 let default_config =
-  { max_states = Some 2_000_000; stop_at_deadlock = false;
-    parallel_cutover = 512; deadline = None; poll = None }
+  { max_states = Some 2_000_000; stop_at_deadlock = false; deadline = None;
+    poll = None }
 
-(* The stop predicate shared by [build] and [check].  [deadline] and
-   [poll] are evaluated in the sequential merge only, so they cannot
-   perturb parallel expansion; both are [None] on the default path and
-   then cost nothing. *)
+(* The budget half of the loop's stop test.  [deadline] and [poll] are
+   [None] on the default path and then cost nothing. *)
 let budget_stop config ~len ~deadline_hit () =
   (match config.max_states with Some m -> len >= m | None -> false)
   || (match config.deadline with
@@ -478,519 +369,10 @@ let budget_stop config ~len ~deadline_hit () =
      | Some _ | None -> false)
   || (match config.poll with Some p -> p () | None -> false)
 
-(* Work-stealing prefetch oracle shared by [build] and [check].
-
-   The replay (the caller's sequential BFS loop) asks [successors] for
-   one row at a time, in queue order.  Sequentially ([jobs] = 1, or a
-   frontier that never crosses [cutover]) that is a plain call to the
-   step function — instruction-for-instruction the sequential build.
-
-   In parallel mode, [jobs] worker domains run [worker_loop]: each owns
-   a Chase–Lev deque of claimed-but-unexpanded terms, pops locally
-   (LIFO), steals from a sibling only when its own deque and the shared
-   injector run dry, and for every term computes the successor row,
-   publishes it into the digest-sharded record store, claims the row's
-   still-unclaimed targets (one batched lock acquisition per owning
-   shard) and pushes them onto its own deque.  There is no barrier
-   anywhere: the workers race ahead of the replay through the state
-   graph in whatever order stealing yields.
-
-   Correctness never depends on that race.  The workers only ever
-   *prefetch*: the replay consumes a recorded row when one is ready and
-   otherwise computes the row itself on the calling domain ([next] is
-   deterministic, so the result is the same either way — worst case is
-   duplicated work, softened by the shared semantics cache).  All
-   order-sensitive decisions — interning, parent/depth assignment,
-   budget, deadline and early-exit checks — stay on the replay, in
-   queue order, so results are bit-identical for every [jobs] value.
-
-   Domains are only worth paying for on big explorations: spawning them
-   costs milliseconds and, once they exist, every minor GC becomes a
-   stop-the-world rendezvous across all domains, which swamps the win
-   on small models.  So the pool is spawned lazily, on the first
-   frontier at least [cutover] states wide. *)
-module Oracle = struct
-  type row = (Step.t * Hproc.t) list
-
-  type par = {
-    pool : Pool.t;
-    shards : row Shards.t;
-    deques : Hproc.t Deque.t array;  (* one per worker, owner-indexed *)
-    inj_lock : Mutex.t;
-    injector : Hproc.t Queue.t;
-        (* overflow/seed queue: activation seeds the current frontier
-           here, and the replay re-seeds it when it outruns the workers
-           into a region they have not reached *)
-    stop : bool Atomic.t;
-    claim_cap : int;  (* do not claim past the state budget *)
-    claimed : int Atomic.t;
-    steals : int Atomic.t;
-    steal_attempts : int Atomic.t;
-  }
-
-  type t = {
-    jobs : int;
-    cutover : int;
-    next : Hproc.t -> row;
-    claim_cap : int;
-    mutable par : par option;
-    mutable expand_s : float;
-    (* replay-side tallies; the calling domain is the only writer *)
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let create ~jobs ~cutover ~max_states next =
-    {
-      jobs;
-      cutover = max 1 cutover;
-      next;
-      claim_cap = (match max_states with Some m -> m | None -> max_int);
-      par = None;
-      expand_s = 0.;
-      hits = 0;
-      misses = 0;
-    }
-
-  let inj_take par =
-    Mutex.lock par.inj_lock;
-    let x =
-      if Queue.is_empty par.injector then None
-      else Some (Queue.pop par.injector)
-    in
-    Mutex.unlock par.inj_lock;
-    x
-
-  let inj_add par terms =
-    if terms <> [] then begin
-      Mutex.lock par.inj_lock;
-      List.iter (fun t -> Queue.push t par.injector) terms;
-      Mutex.unlock par.inj_lock
-    end
-
-  (* Claim the not-yet-claimed targets of [row]; one [claim_batch] per
-     owning shard.  Returns the freshly claimed terms — each claimed
-     exactly once across all domains, so each is expanded exactly
-     once. *)
-  let claim_successors par row =
-    if Atomic.get par.claimed >= par.claim_cap then []
-    else begin
-      let groups = ref [] in
-      List.iter
-        (fun (_, t') ->
-          let s = Shards.owner par.shards t' in
-          match List.assq_opt s !groups with
-          | Some r -> r := t' :: !r
-          | None -> groups := (s, ref [ t' ]) :: !groups)
-        row;
-      List.concat_map
-        (fun (s, r) ->
-          let fresh = Shards.claim_batch par.shards s (List.rev !r) in
-          ignore (Atomic.fetch_and_add par.claimed (List.length fresh));
-          fresh)
-        !groups
-    end
-
-  let expand o par deque term =
-    let row = o.next term in
-    Shards.publish par.shards term row;
-    List.iter (Deque.push deque) (claim_successors par row)
-
-  let worker_loop o par index =
-    let deque = par.deques.(index) in
-    let nd = Array.length par.deques in
-    let steals = ref 0 and attempts = ref 0 in
-    Fun.protect
-      ~finally:(fun () ->
-        ignore (Atomic.fetch_and_add par.steals !steals);
-        ignore (Atomic.fetch_and_add par.steal_attempts !attempts))
-    @@ fun () ->
-    let idle = ref 0 in
-    while not (Atomic.get par.stop) do
-      let task =
-        match Deque.pop deque with
-        | Some _ as t -> t
-        | None -> (
-            match inj_take par with
-            | Some _ as t -> t
-            | None ->
-                (* own deque and injector dry: sweep the siblings *)
-                let got = ref None in
-                let k = ref 1 in
-                while !got = None && !k < nd do
-                  incr attempts;
-                  (match Deque.steal par.deques.((index + !k) mod nd) with
-                  | Some _ as t ->
-                      incr steals;
-                      got := t
-                  | None -> ());
-                  incr k
-                done;
-                !got)
-      in
-      match task with
-      | Some term ->
-          idle := 0;
-          Obs.Histogram.observe Metrics.queue_depth
-            (float_of_int (1 + Deque.length deque));
-          expand o par deque term
-      | None ->
-          (* out of work everywhere: spin briefly, then sleep so the
-             replay domain gets the core (essential on few-core hosts) *)
-          incr idle;
-          if !idle < 64 then Domain.cpu_relax () else Unix.sleepf 50e-6
-    done
-
-  let activate o ~term_of ~len ~head =
-    let par =
-      {
-        pool = Pool.create o.jobs;
-        shards = Shards.create ();
-        deques = Array.init o.jobs (fun _ -> Deque.create ~dummy:Hproc.nil ());
-        inj_lock = Mutex.create ();
-        injector = Queue.create ();
-        stop = Atomic.make false;
-        claim_cap = o.claim_cap;
-        claimed = Atomic.make 0;
-        steals = Atomic.make 0;
-        steal_attempts = Atomic.make 0;
-      }
-    in
-    (* Seed the store with every state discovered so far — so a worker
-       re-reaching one through a cycle does not re-expand it — and queue
-       the unexpanded frontier for the workers. *)
-    let per_shard = Array.make (Shards.shard_count par.shards) [] in
-    for i = len - 1 downto 0 do
-      let t = term_of i in
-      let s = Shards.owner par.shards t in
-      per_shard.(s) <- t :: per_shard.(s)
-    done;
-    Array.iteri
-      (fun s terms ->
-        if terms <> [] then ignore (Shards.claim_batch par.shards s terms))
-      per_shard;
-    Atomic.set par.claimed len;
-    let frontier = ref [] in
-    for i = len - 1 downto head do
-      frontier := term_of i :: !frontier
-    done;
-    inj_add par !frontier;
-    o.par <- Some par;
-    Pool.launch par.pool (worker_loop o par)
-
-  let maybe_activate o ~term_of ~len ~head =
-    if o.jobs > 1 && o.par = None && len - head >= o.cutover then
-      activate o ~term_of ~len ~head
-
-  (* The replay's successor source.  Whatever the workers did, the row
-     returned here is the one the sequential engine would compute. *)
-  let successors o term =
-    let t0 = Timed.Clock.gettimeofday () in
-    let row =
-      match o.par with
-      | None -> o.next term
-      | Some par -> (
-          match Shards.find par.shards term with
-          | Shards.Found row ->
-              o.hits <- o.hits + 1;
-              row
-          | Shards.Claimed ->
-              (* a worker is computing this row right now; recomputing
-                 it here beats blocking on an unbounded wait (the shared
-                 semantics cache keeps the overlap cheap) *)
-              o.misses <- o.misses + 1;
-              o.next term
-          | Shards.Absent ->
-              o.misses <- o.misses + 1;
-              if Shards.try_claim par.shards term then begin
-                let row = o.next term in
-                Shards.publish par.shards term row;
-                (* the workers have not reached this region yet: hand
-                   its successors to the injector so they can pick the
-                   region up from here *)
-                inj_add par (claim_successors par row);
-                row
-              end
-              else o.next term)
-    in
-    o.expand_s <- o.expand_s +. (Timed.Clock.gettimeofday () -. t0);
-    row
-
-  type tally = {
-    t_steals : int;
-    t_steal_attempts : int;
-    t_hits : int;
-    t_misses : int;
-    t_contended : int;
-    t_acquired : int;
-  }
-
-  let shutdown o =
-    match o.par with
-    | None -> ()
-    | Some par ->
-        Atomic.set par.stop true;
-        (match Pool.await par.pool with
-        | () -> ()
-        | exception Pool.Worker_error _ ->
-            (* A prefetch worker died.  Its work was advisory — the
-               replay recomputes any row it never received, and an
-               exception [next] raises deterministically resurfaces on
-               the replay path exactly as in a sequential run — so the
-               failure (already counted in
-               versa_pool_worker_failures_total, with the raising
-               domain's index) must not perturb results. *)
-            ());
-        Pool.shutdown par.pool
-
-  let tally o =
-    match o.par with
-    | None ->
-        {
-          t_steals = 0;
-          t_steal_attempts = 0;
-          t_hits = 0;
-          t_misses = 0;
-          t_contended = 0;
-          t_acquired = 0;
-        }
-    | Some par ->
-        let contended, acquired = Shards.contention par.shards in
-        {
-          t_steals = Atomic.get par.steals;
-          t_steal_attempts = Atomic.get par.steal_attempts;
-          t_hits = o.hits;
-          t_misses = o.misses;
-          t_contended = contended;
-          t_acquired = acquired;
-        }
-end
-
-(* Shard-contention telemetry is per parallel run, published next to
-   [publish_stats] (which covers the stats-record fields). *)
-let publish_contention (tl : Oracle.tally) =
-  if tl.Oracle.t_acquired > 0 then begin
-    Obs.Counter.incr ~by:tl.Oracle.t_contended Metrics.shard_contention;
-    Obs.Gauge.set Metrics.shard_contention_ratio
-      (float_of_int tl.Oracle.t_contended /. float_of_int tl.Oracle.t_acquired)
-  end
-
-(* Growable state table, keyed by the hash-cons id of the term. *)
-module Table = struct
-  type entry = {
-    mutable row : (Step.t * state_id) array;
-    mutable was_expanded : bool;
-    mutable par : (state_id * Step.t) option;
-    mutable dep : int;
-    tm : Hproc.t;
-  }
-
-  type nonrec t = {
-    ids : (int, state_id) Hashtbl.t;  (* Hproc id -> state id *)
-    mutable entries : entry array;
-    mutable len : int;
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let dummy_entry =
-    { row = [||]; was_expanded = false; par = None; dep = 0; tm = Hproc.nil }
-
-  let create () =
-    {
-      ids = Hashtbl.create 4096;
-      entries = Array.make 1024 dummy_entry;
-      len = 0;
-      hits = 0;
-      misses = 0;
-    }
-
-  let get t id = t.entries.(id)
-
-  let intern t term =
-    match Hashtbl.find_opt t.ids (Hproc.id term) with
-    | Some id ->
-        t.hits <- t.hits + 1;
-        (id, false)
-    | None ->
-        t.misses <- t.misses + 1;
-        if t.len = Array.length t.entries then begin
-          let bigger = Array.make (2 * t.len) dummy_entry in
-          Array.blit t.entries 0 bigger 0 t.len;
-          t.entries <- bigger
-        end;
-        let id = t.len in
-        t.entries.(id) <-
-          { row = [||]; was_expanded = false; par = None; dep = 0; tm = term };
-        Hashtbl.add t.ids (Hproc.id term) id;
-        t.len <- t.len + 1;
-        (id, true)
-end
-
-let pp_semantics ppf = function
-  | Prioritized -> Fmt.string ppf "prioritized"
-  | Unprioritized -> Fmt.string ppf "unprioritized"
-
-let span_attrs semantics jobs =
-  [ ("semantics", Fmt.str "%a" pp_semantics semantics);
-    ("jobs", string_of_int jobs) ]
-
-let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
-    ?(symmetry = Symmetry.empty) defs root =
-  let jobs = max 1 jobs in
-  Obs.Span.with_ ~name:"lts.build" ~attrs:(span_attrs semantics jobs)
-  @@ fun () ->
-  let t_start = Timed.Clock.gettimeofday () in
-  let cache = Semantics.make_cache () in
-  let raw_next = step_function semantics cache defs in
-  let raw_root = Hproc.of_proc root in
-  let sym = Sym.of_spec symmetry ~raw_root ~defs in
-  let next =
-    match sym with None -> raw_next | Some s -> Sym.wrap s raw_next
-  in
-  let table = Table.create () in
-  let truncated = ref false in
-  let deadlock_found = ref false in
-  let deadlock_ids_rev = ref [] in
-  let transitions = ref 0 in
-  let peak_frontier = ref 0 in
-  let root_id, _ =
-    Table.intern table
-      (match sym with None -> raw_root | Some s -> Sym.root s)
-  in
-  ignore root_id;
-  let deadline_hit = ref false in
-  let over_budget () =
-    budget_stop config ~len:table.Table.len ~deadline_hit ()
-  in
-  let o =
-    Oracle.create ~jobs ~cutover:config.parallel_cutover
-      ~max_states:config.max_states next
-  in
-  Fun.protect
-    ~finally:(fun () -> Oracle.shutdown o)
-    (fun () ->
-      (* The BFS queue is implicit: state ids are assigned in discovery
-         order, so the queue contents are exactly the ids [head .. len).
-         This loop is the replay: it is the sequential exploration, with
-         [next] routed through the oracle (a no-op route until a
-         frontier crosses the cutover and the workers spin up). *)
-      let head = ref 0 in
-      let stop = ref false in
-      while (not !stop) && !head < table.Table.len do
-        let frontier = table.Table.len - !head in
-        if frontier > !peak_frontier then peak_frontier := frontier;
-        Obs.Histogram.observe Metrics.frontier (float_of_int frontier);
-        Oracle.maybe_activate o
-          ~term_of:(fun i -> (Table.get table i).Table.tm)
-          ~len:table.Table.len ~head:!head;
-        if (config.stop_at_deadlock && !deadlock_found) || over_budget ()
-        then begin
-          (* leave this state (and every later one) unexpanded; the
-             exploration is incomplete *)
-          truncated := true;
-          stop := true
-        end
-        else begin
-          let id = !head in
-          let entry = Table.get table id in
-          let s = Oracle.successors o entry.Table.tm in
-          if s = [] then begin
-            deadlock_found := true;
-            deadlock_ids_rev := id :: !deadlock_ids_rev
-          end;
-          (* Interning, parent/depth assignment and the truncation
-             checks above are order-sensitive and replicate the
-             sequential exploration exactly. *)
-          let row =
-            List.map
-              (fun (step, term') ->
-                let id', fresh = Table.intern table term' in
-                if fresh then begin
-                  let e' = Table.get table id' in
-                  e'.Table.par <- Some (id, step);
-                  e'.Table.dep <- entry.Table.dep + 1
-                end;
-                (step, id'))
-              s
-          in
-          entry.Table.row <- Array.of_list row;
-          entry.Table.was_expanded <- true;
-          transitions := !transitions + Array.length entry.Table.row;
-          incr head
-        end
-      done);
-  let n = table.Table.len in
-  let entry i = table.Table.entries.(i) in
-  let depth = Array.init n (fun i -> (entry i).Table.dep) in
-  let wall_s = Timed.Clock.gettimeofday () -. t_start in
-  let tl = Oracle.tally o in
-  let memo_hits, memo_misses = Semantics.memo_counts cache in
-  let stats =
-    {
-      jobs;
-      wall_s;
-      expand_s = o.Oracle.expand_s;
-      merge_s = wall_s -. o.Oracle.expand_s;
-      num_states = n;
-      num_transitions = !transitions;
-      num_deadlocks = List.length !deadlock_ids_rev;
-      peak_frontier = !peak_frontier;
-      depth_levels = 1 + Array.fold_left max 0 depth;
-      intern_hits = table.Table.hits;
-      intern_misses = table.Table.misses;
-      hashcons_nodes = Hproc.table_size ();
-      hashcons_max_chain = (Hproc.table_stats ()).max_chain;
-      memo_hits;
-      memo_misses;
-      (* per state: entry record + entries/term_of/edges/expanded/parent/
-         depth array slots + hashtable binding + parent option box; per
-         transition: a (step, id) tuple in a row.  An estimate, counted
-         in words. *)
-      store_bytes = 8 * ((21 * n) + (3 * !transitions));
-      early_exit_depth =
-        (match (config.stop_at_deadlock, List.rev !deadlock_ids_rev) with
-        | true, d :: _ -> Some (entry d).Table.dep
-        | _ -> None);
-      deadline_expired = !deadline_hit;
-      steals = tl.Oracle.t_steals;
-      steal_attempts = tl.Oracle.t_steal_attempts;
-      prefetch_hits = tl.Oracle.t_hits;
-      prefetch_misses = tl.Oracle.t_misses;
-      orbit_hits = (match sym with None -> 0 | Some s -> Sym.hits s);
-      orbit_misses = (match sym with None -> 0 | Some s -> Sym.misses s);
-      canon_s = (match sym with None -> 0. | Some s -> Sym.canon_s s);
-    }
-  in
-  publish_stats stats;
-  publish_contention tl;
-  Option.iter Sym.observe_sizes sym;
-  {
-    term_of = Array.init n (fun i -> (entry i).Table.tm);
-    edges = Array.init n (fun i -> (entry i).Table.row);
-    expanded = Array.init n (fun i -> (entry i).Table.was_expanded);
-    parent = Array.init n (fun i -> (entry i).Table.par);
-    depth;
-    truncated = !truncated;
-    semantics;
-    transitions = !transitions;
-    deadlock_ids = List.rev !deadlock_ids_rev;
-    stats;
-    sym;
-  }
-
-(* {1 On-the-fly checking}
-
-   The paper reduces schedulability to reachability of a deadlocked
-   state, so for an unschedulable model nothing past the first deadlock
-   is ever needed — and even for exhaustive sweeps, the successor rows
-   are only needed transiently.  [check] explores the same prioritized
-   transition system as [build], in the same order, but stores per state
-   only the hash-consed term (one pointer into the global intern table),
-   the BFS parent id and the arriving step — enough to rebuild the
-   shortest counterexample path — in flat growable arrays.  No successor
-   rows, no expansion flags, no per-state records. *)
-
+(* The state store: flat growable arrays indexed by state id, plus the
+   id table.  Per state it keeps the hash-consed term (one pointer into
+   the global intern table), the BFS parent id and the arriving step —
+   enough to rebuild the shortest counterexample path. *)
 module Store = struct
   type t = {
     ids : (int, state_id) Hashtbl.t;  (* Hproc id -> state id *)
@@ -1043,44 +425,51 @@ module Store = struct
         Hashtbl.add st.ids (Hproc.id term) id;
         st.len <- st.len + 1;
         id
+
+  (* BFS depth by walking the parent chain: O(depth). *)
+  let depth st id =
+    let rec up id d =
+      if st.pred.(id) < 0 then d else up st.pred.(id) (d + 1)
+    in
+    up id 0
 end
 
-type check_result = {
-  c_store : Store.t;
-  c_truncated : bool;
-  c_deadlocks : state_id list;  (* discovery order *)
-  c_transitions : int;
-  c_semantics : semantics;
-  c_stats : stats;
-  c_sym : Sym.t option;
+(* What one exploration leaves behind, with or without recorded rows. *)
+type run = {
+  store : Store.t;
+  head : int;  (** states with a smaller id were expanded, the rest not *)
+  truncated : bool;
+  deadlock_ids : state_id list;  (** discovery order *)
+  transitions : int;
+  semantics : semantics;
+  stats : stats;
+  sym : Sym.t option;
 }
 
-let check_num_states c = c.c_store.Store.len
-let check_num_transitions c = c.c_transitions
-let check_truncated c = c.c_truncated
-let check_deadlocks c = c.c_deadlocks
-let check_semantics c = c.c_semantics
-let check_stats c = c.c_stats
-let check_term c id = Hproc.to_proc c.c_store.Store.terms.(id)
-
-let check_path_to c id =
-  let st = c.c_store in
+let run_path_to r id =
+  let st = r.store in
   let rec up id acc =
     let p = st.Store.pred.(id) in
     if p < 0 then acc else up p ((st.Store.steps.(id), id) :: acc)
   in
   let path = up id [] in
-  match c.c_sym with
+  match r.sym with
   | None -> path
   | Some s ->
-      Sym.decanon_steps s ~semantics:c.c_semantics
+      Sym.decanon_steps s ~semantics:r.semantics
         ~term_at:(fun i -> st.Store.terms.(i))
         path
 
-let check ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
+let pp_semantics ppf = function
+  | Prioritized -> Fmt.string ppf "prioritized"
+  | Unprioritized -> Fmt.string ppf "unprioritized"
+
+(* The one BFS loop.  [rows], when given, records each expanded state's
+   (step, successor id) row, newest first; nothing else depends on it. *)
+let explore ~span ?rows ?(config = default_config) ?(semantics = Prioritized)
     ?(symmetry = Symmetry.empty) defs root =
-  let jobs = max 1 jobs in
-  Obs.Span.with_ ~name:"lts.check" ~attrs:(span_attrs semantics jobs)
+  Obs.Span.with_ ~name:span
+    ~attrs:[ ("semantics", Fmt.str "%a" pp_semantics semantics) ]
   @@ fun () ->
   let t_start = Timed.Clock.gettimeofday () in
   let cache = Semantics.make_cache () in
@@ -1091,139 +480,186 @@ let check ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
     match sym with None -> raw_next | Some s -> Sym.wrap s raw_next
   in
   let store = Store.create () in
-  let truncated = ref false in
-  let deadlock_found = ref false in
-  let deadlock_ids_rev = ref [] in
-  let transitions = ref 0 in
-  let peak_frontier = ref 0 in
   ignore
     (Store.intern store
        (match sym with None -> raw_root | Some s -> Sym.root s)
        ~pred:(-1) ~step:Store.dummy_step);
   let deadline_hit = ref false in
-  let over_budget () =
-    budget_stop config ~len:store.Store.len ~deadline_hit ()
-  in
-  let o =
-    Oracle.create ~jobs ~cutover:config.parallel_cutover
-      ~max_states:config.max_states next
-  in
-  (* BFS levels are contiguous id ranges (ids are assigned in discovery
-     order), so depth tracking needs two counters, not an array: when the
-     merge crosses [level_end], every state of the current depth has been
-     expanded and the states discovered so far are exactly the next
-     level. *)
-  let depth = ref 0 in
-  let level_end = ref 1 in
-  let early_exit_depth = ref None in
-  Fun.protect
-    ~finally:(fun () -> Oracle.shutdown o)
-    (fun () ->
-      (* The replay again: the same decisions in the same order as
-         [build], so visited-state counts, deadlock ids and parent
-         pointers coincide exactly with a [build] under the same config
-         (asserted by the test suite). *)
-      let head = ref 0 in
-      let stop = ref false in
-      while (not !stop) && !head < store.Store.len do
-        let frontier = store.Store.len - !head in
-        if frontier > !peak_frontier then peak_frontier := frontier;
-        Obs.Histogram.observe Metrics.frontier (float_of_int frontier);
-        Oracle.maybe_activate o
-          ~term_of:(fun i -> store.Store.terms.(i))
-          ~len:store.Store.len ~head:!head;
-        if (config.stop_at_deadlock && !deadlock_found) || over_budget ()
-        then begin
-          truncated := true;
-          stop := true
-        end
-        else begin
-          let id = !head in
-          if id >= !level_end then begin
-            incr depth;
-            level_end := store.Store.len
-          end;
-          let s = Oracle.successors o store.Store.terms.(id) in
-          if s = [] then begin
-            deadlock_found := true;
-            deadlock_ids_rev := id :: !deadlock_ids_rev;
-            if config.stop_at_deadlock && !early_exit_depth = None then
-              early_exit_depth := Some !depth
-          end;
+  let deadlocks_rev = ref [] in
+  let transitions = ref 0 in
+  let peak_frontier = ref 0 in
+  let expand_s = ref 0. in
+  let truncated = ref false in
+  (* The BFS queue is implicit: state ids are assigned in discovery
+     order, so the queue contents are exactly the ids [head .. len). *)
+  let head = ref 0 in
+  while (not !truncated) && !head < store.Store.len do
+    let frontier = store.Store.len - !head in
+    if frontier > !peak_frontier then peak_frontier := frontier;
+    Obs.Histogram.observe Metrics.frontier (float_of_int frontier);
+    if
+      (config.stop_at_deadlock && !deadlocks_rev <> [])
+      || budget_stop config ~len:store.Store.len ~deadline_hit ()
+    then
+      (* leave this state (and every later one) unexpanded; the
+         exploration is incomplete *)
+      truncated := true
+    else begin
+      let id = !head in
+      let t0 = Timed.Clock.gettimeofday () in
+      let succ = next store.Store.terms.(id) in
+      expand_s := !expand_s +. (Timed.Clock.gettimeofday () -. t0);
+      if succ = [] then deadlocks_rev := id :: !deadlocks_rev;
+      (match rows with
+      | None ->
           List.iter
             (fun (step, term') ->
               ignore (Store.intern store term' ~pred:id ~step);
               incr transitions)
-            s;
-          incr head
-        end
-      done);
+            succ
+      | Some rows ->
+          let row =
+            Array.of_list
+              (List.map
+                 (fun (step, term') ->
+                   (step, Store.intern store term' ~pred:id ~step))
+                 succ)
+          in
+          transitions := !transitions + Array.length row;
+          rows := row :: !rows);
+      incr head
+    end
+  done;
   let n = store.Store.len in
+  let deadlock_ids = List.rev !deadlocks_rev in
   let wall_s = Timed.Clock.gettimeofday () -. t_start in
-  let tl = Oracle.tally o in
   let memo_hits, memo_misses = Semantics.memo_counts cache in
   let stats =
     {
-      jobs;
       wall_s;
-      expand_s = o.Oracle.expand_s;
-      merge_s = wall_s -. o.Oracle.expand_s;
+      expand_s = !expand_s;
+      merge_s = wall_s -. !expand_s;
       num_states = n;
       num_transitions = !transitions;
-      num_deadlocks = List.length !deadlock_ids_rev;
+      num_deadlocks = List.length deadlock_ids;
       peak_frontier = !peak_frontier;
-      depth_levels = !depth + 1;
+      (* ids are in BFS order, so the last one is the deepest *)
+      depth_levels = 1 + Store.depth store (n - 1);
       intern_hits = store.Store.hits;
       intern_misses = store.Store.misses;
       hashcons_nodes = Hproc.table_size ();
       hashcons_max_chain = (Hproc.table_stats ()).max_chain;
       memo_hits;
       memo_misses;
-      (* per state: term pointer + pred int + step pointer array slots,
-         plus a hashtable binding.  An estimate, counted in words. *)
-      store_bytes = 8 * 7 * n;
-      early_exit_depth = !early_exit_depth;
+      (* An estimate, counted in words.  The store: per state a term
+         pointer, a pred int and a step pointer array slot, plus a
+         hashtable binding.  Recorded rows add per state a rows slot, a
+         row header and a depth slot, and per transition a (step, id)
+         tuple and its row slot. *)
+      store_bytes =
+        8
+        * ((7 * n)
+          + match rows with None -> 0 | Some _ -> (3 * n) + (4 * !transitions));
+      early_exit_depth =
+        (match (config.stop_at_deadlock, deadlock_ids) with
+        | true, d :: _ -> Some (Store.depth store d)
+        | _ -> None);
       deadline_expired = !deadline_hit;
-      steals = tl.Oracle.t_steals;
-      steal_attempts = tl.Oracle.t_steal_attempts;
-      prefetch_hits = tl.Oracle.t_hits;
-      prefetch_misses = tl.Oracle.t_misses;
       orbit_hits = (match sym with None -> 0 | Some s -> Sym.hits s);
       orbit_misses = (match sym with None -> 0 | Some s -> Sym.misses s);
       canon_s = (match sym with None -> 0. | Some s -> Sym.canon_s s);
     }
   in
   publish_stats stats;
-  publish_contention tl;
   Option.iter Sym.observe_sizes sym;
   {
-    c_store = store;
-    c_truncated = !truncated;
-    c_deadlocks = List.rev !deadlock_ids_rev;
-    c_transitions = !transitions;
-    c_semantics = semantics;
-    c_stats = stats;
-    c_sym = sym;
+    store;
+    head = !head;
+    truncated = !truncated;
+    deadlock_ids;
+    transitions = !transitions;
+    semantics;
+    stats;
+    sym;
   }
+
+(* {1 The materialized graph} *)
+
+type t = {
+  run : run;
+  rows : (Step.t * state_id) array array;  (** row of each expanded state *)
+  depth : int array;  (** BFS depth, derived from the parent pointers *)
+}
+
+let build ?config ?semantics ?symmetry defs root =
+  let rows = ref [] in
+  let run =
+    explore ~span:"lts.build" ~rows ?config ?semantics ?symmetry defs root
+  in
+  let st = run.store in
+  let depth = Array.make st.Store.len 0 in
+  (* parents precede their children *)
+  for id = 1 to st.Store.len - 1 do
+    depth.(id) <- depth.(st.Store.pred.(id)) + 1
+  done;
+  { run; rows = Array.of_list (List.rev !rows); depth }
+
+let num_states lts = lts.run.store.Store.len
+let num_transitions lts = lts.run.transitions
+let initial (_ : t) : state_id = 0
+let term lts id = Hproc.to_proc lts.run.store.Store.terms.(id)
+
+let successors lts id =
+  if id < lts.run.head then lts.rows.(id) else [||]
+
+let depth lts id = lts.depth.(id)
+let truncated lts = lts.run.truncated
+let semantics_of lts = lts.run.semantics
+let stats lts = lts.run.stats
+let is_deadlock lts id = id < lts.run.head && Array.length lts.rows.(id) = 0
+let deadlocks lts = lts.run.deadlock_ids
+let path_to lts id = run_path_to lts.run id
+
+(* {1 On-the-fly checking}
+
+   The paper reduces schedulability to reachability of a deadlocked
+   state, so for an unschedulable model nothing past the first deadlock
+   is ever needed — and even for exhaustive sweeps, the successor rows
+   are only needed transiently.  [check] is the loop without the row
+   recorder. *)
+
+type check_result = run
+
+let check ?config ?semantics ?symmetry defs root =
+  explore ~span:"lts.check" ?config ?semantics ?symmetry defs root
+
+let check_num_states c = c.store.Store.len
+let check_num_transitions c = c.transitions
+let check_truncated c = c.truncated
+let check_deadlocks c = c.deadlock_ids
+let check_semantics c = c.semantics
+let check_stats c = c.stats
+let check_term c id = Hproc.to_proc c.store.Store.terms.(id)
+let check_path_to = run_path_to
 
 let pp_check_summary ppf c =
   Fmt.pf ppf "%d states, %d transitions%s (%a semantics, on-the-fly)"
     (check_num_states c) (check_num_transitions c)
-    (if c.c_truncated then
-       if c.c_deadlocks <> [] then " [early exit]" else " [truncated]"
+    (if c.truncated then
+       if c.deadlock_ids <> [] then " [early exit]" else " [truncated]"
      else "")
-    pp_semantics c.c_semantics
+    pp_semantics c.semantics
 
 let pp_summary ppf lts =
   Fmt.pf ppf "%d states, %d transitions%s (%a semantics)" (num_states lts)
     (num_transitions lts)
-    (if lts.truncated then " [truncated]" else "")
-    pp_semantics lts.semantics
+    (if truncated lts then " [truncated]" else "")
+    pp_semantics (semantics_of lts)
 
 let pp_stats ppf s =
   Fmt.pf ppf
     "@[<v>exploration: %d states, %d transitions, %d deadlocks in %.3fs \
-     (%.0f states/sec, %d jobs)@,\
+     (%.0f states/sec)@,\
      phases: expand %.3fs, merge %.3fs@,\
      frontier peak %d, BFS levels %d@,\
      state dedup: %d hits / %d misses (%.1f%% hit-rate)@,\
@@ -1231,21 +667,13 @@ let pp_stats ppf s =
      state store: ~%d KiB (~%.0f bytes/state)@,\
      hash-cons table: %d nodes, longest chain %d%a%a%a@]"
     s.num_states s.num_transitions s.num_deadlocks s.wall_s
-    (states_per_sec s) s.jobs s.expand_s s.merge_s s.peak_frontier
+    (states_per_sec s) s.expand_s s.merge_s s.peak_frontier
     s.depth_levels s.intern_hits s.intern_misses
     (100. *. dedup_hit_rate s)
     s.memo_hits s.memo_misses
     (s.store_bytes / 1024) (bytes_per_state s) s.hashcons_nodes
     s.hashcons_max_chain
     (fun ppf s ->
-      (* only parallel runs that actually engaged the workers have
-         anything to say here *)
-      if s.steal_attempts > 0 || s.prefetch_hits > 0 || s.prefetch_misses > 0
-      then
-        Fmt.pf ppf
-          "@,work stealing: %d steals / %d attempts, prefetch %d hits / %d \
-           misses"
-          s.steals s.steal_attempts s.prefetch_hits s.prefetch_misses;
       if s.orbit_hits > 0 || s.orbit_misses > 0 then
         Fmt.pf ppf
           "@,symmetry: %d orbit hits / %d misses, canonicalization %.3fs"

@@ -7,29 +7,14 @@
     (paper, Section 5).  Terms are hash-consed ({!Acsr.Hproc}), so state
     interning and successor deduplication cost O(1) per comparison.
 
-    {2 Parallel exploration and the determinism contract}
+    {2 One loop, two results}
 
-    With [?jobs > 1] the builder prefetches successor rows with
-    work-stealing worker domains: each worker owns a private Chase–Lev
-    deque ({!Deque}) of frontier terms, steals from a sibling only when
-    its own deque runs dry, and records every row it computes in a
-    store sharded by digest range ({!Shards} — the structural term
-    digest picks the shard, so there is no global lock).  There are no
-    barriers: workers traverse the graph asynchronously, in whatever
-    order stealing yields.
-
-    Results are nevertheless {e bit-identical} to a sequential run —
-    same state ids, parents, depths, successor rows, deadlock ids,
-    verdicts, shortest traces, and the same exception should successor
-    computation raise.  The mechanism is replay: the calling domain
-    runs the unchanged sequential BFS loop, consuming a prefetched row
-    when one is recorded and computing the row itself when the workers
-    have not got there yet (successor computation is deterministic, so
-    both paths agree).  Every order-sensitive decision — interning,
-    parent assignment, budget/deadline/early-exit checks — happens on
-    that replay, in queue order.  Parallelism can therefore only affect
-    throughput, never results (asserted by the test suite's
-    jobs-equivalence properties).
+    {!build} and {!check} run the same breadth-first loop over the same
+    state store; {!build} additionally records each expanded state's
+    successor row.  Both visit the same states in the same order, so
+    state ids, parents, deadlock ids, shortest traces and every count in
+    {!stats} coincide under the same configuration (asserted by the test
+    suite and the [bench-smoke] gate).
 
     {2 Symmetry (orbit) reduction}
 
@@ -42,9 +27,8 @@
     preserved exactly — canonicalization is an automorphism of the
     transition system — while visited-state counts shrink by up to the
     product of the orbit class factorials.  Canonicalization happens
-    inside the successor function, which workers and replay share, so
-    reduction composes with [jobs] and the bit-identity contract above
-    is unchanged for any fixed [symmetry] spec.  {!path_to} and
+    inside the successor function and is deterministic, so a reduced run
+    is as reproducible as an unreduced one.  {!path_to} and
     {!check_path_to} de-canonicalize the stored steps (composing the
     permutation witnesses along the path), so diagnostic traces name the
     real system's threads; state ids in the returned path index the
@@ -67,15 +51,16 @@ type t
     [--stats] CLI flag and the bench harness ([BENCH_explore.json]). *)
 
 type stats = {
-  jobs : int;  (** parallelism the LTS was built with *)
   wall_s : float;  (** total build time, seconds *)
-  expand_s : float;  (** successor computation (the parallel phase) *)
-  merge_s : float;  (** interning and BFS bookkeeping (sequential phase) *)
+  expand_s : float;  (** successor computation *)
+  merge_s : float;  (** interning and BFS bookkeeping *)
   num_states : int;
   num_transitions : int;
   num_deadlocks : int;
   peak_frontier : int;  (** max states discovered but not yet expanded *)
-  depth_levels : int;  (** deepest BFS level reached + 1 *)
+  depth_levels : int;
+      (** deepest BFS level reached + 1: the depth of the deepest
+          {e discovered} state, expanded or not *)
   intern_hits : int;  (** successor interns that found an existing state *)
   intern_misses : int;  (** interns that discovered a new state *)
   hashcons_nodes : int;  (** global hash-cons table size after the build *)
@@ -85,12 +70,11 @@ type stats = {
   memo_hits : int;
       (** lookups in the per-subterm step-set memo that found a set *)
   memo_misses : int;
-      (** step-memo lookups that had to compute the set; counted per
-          build, so a parallel race can count one subterm twice *)
+      (** step-memo lookups that had to compute the set *)
   store_bytes : int;
-      (** estimated bytes retained by the state store (successor rows and
-          bookkeeping for {!build}; flat id/parent/step arrays for
-          {!check}) — the figure behind the compact engine's
+      (** estimated bytes retained by the state store (flat
+          term/parent/step arrays, plus the recorded successor rows for
+          {!build}) — the figure behind the compact engine's
           bytes-per-state win *)
   early_exit_depth : int option;
       (** BFS depth of the first deadlock when [stop_at_deadlock] fired:
@@ -100,32 +84,15 @@ type stats = {
       (** the wall-clock budget ([build_config.deadline]) stopped the
           exploration; [truncated] is then also true and the absence of
           deadlocks is inconclusive *)
-  steals : int;
-      (** successful deque steals by worker domains; 0 on sequential
-          runs.  A healthy parallel run steals rarely relative to
-          expansions — frequent stealing means the graph fans out too
-          slowly to keep the domains fed *)
-  steal_attempts : int;
-      (** steal attempts, successful or not; the steal {e failure} rate
-          (1 - steals/steal_attempts) spikes when workers are starved *)
-  prefetch_hits : int;
-      (** replay successor lookups answered by a worker-prefetched row —
-          the fraction of expansion work actually moved off the critical
-          path; the headline number for parallel efficiency *)
-  prefetch_misses : int;
-      (** replay successor lookups computed on the calling domain
-          because no worker had recorded the row yet *)
   orbit_hits : int;
       (** successors the symmetry reduction folded onto a different
           orbit representative — the per-successor win of the reduction;
           0 when symmetry is off or the model has no interchangeable
-          components.  Parallel runs can over-count (workers and replay
-          may canonicalize the same row); like [prefetch_misses], this
-          is telemetry, not part of the determinism contract *)
+          components *)
   orbit_misses : int;
       (** successors that were already orbit-canonical *)
   canon_s : float;
-      (** wall time spent canonicalizing states (summed across domains) *)
+      (** wall time spent canonicalizing states *)
 }
 
 val stats : t -> stats
@@ -184,18 +151,13 @@ type build_config = {
   max_states : int option;  (** stop after discovering this many states *)
   stop_at_deadlock : bool;
       (** stop expanding as soon as one deadlock has been discovered *)
-  parallel_cutover : int;
-      (** frontier width below which the run stays sequential even when
-          [jobs > 1]; the worker pool is spawned lazily on the first
-          frontier that crosses it.  Small state spaces never pay the
-          domain spawn + cross-domain GC cost this way, and a run that
-          never crosses the cutover is exactly the sequential build. *)
   deadline : float option;
       (** wall-clock budget as an absolute time on the ambient
           {!Timed.Clock} scale — the time-domain twin of [max_states].
-          When it passes, the exploration stops at the next merge step
-          and reports [truncated] with [stats.deadline_expired]; the
-          explored prefix (states, parents, traces) remains valid.
+          When it passes, the exploration stops before the next
+          expansion and reports [truncated] with
+          [stats.deadline_expired]; the explored prefix (states,
+          parents, traces) remains valid.
           Under the real clock a deadline makes the {e amount explored}
           timing-dependent, so results under an expiring deadline are
           not reproducible run-to-run — the service layer qualifies
@@ -204,21 +166,19 @@ type build_config = {
           how the timeout test suite runs second-scale budgets in
           wall-clock milliseconds. *)
   poll : (unit -> bool) option;
-      (** cooperative stop hook, called between sequential merge steps
-          (never from worker domains).  Returning [true] truncates the
-          run exactly like an exhausted budget; the service layer points
-          this at a job's cancellation flag.  Must be cheap and
-          side-effect-free. *)
+      (** cooperative stop hook, called before each expansion on the
+          exploring domain.  Returning [true] truncates the run exactly
+          like an exhausted budget; the service layer points this at a
+          job's cancellation flag.  Must be cheap and side-effect-free. *)
 }
 
 val default_config : build_config
-(** 2M states, explore exhaustively, cutover at a 512-state frontier, no
-    wall-clock deadline, no poll hook. *)
+(** 2M states, explore exhaustively, no wall-clock deadline, no poll
+    hook. *)
 
 val build :
   ?config:build_config ->
   ?semantics:semantics ->
-  ?jobs:int ->
   ?symmetry:Symmetry.spec ->
   Defs.t ->
   Proc.t ->
@@ -229,35 +189,20 @@ val build :
     [symmetry] (default {!Acsr.Symmetry.empty}, i.e. off) enables orbit
     reduction — see the module preamble.  The spec must describe the
     explored term: its slot layout and renamings come from the same
-    translation that produced [defs] and the root.
-
-    [jobs] (default 1) is the number of work-stealing worker domains
-    prefetching successor rows; the calling domain additionally runs the
-    (cheap) sequential replay that assigns ids and merges rows.  Workers
-    are only spawned once a frontier reaches [config.parallel_cutover]
-    states.  Parallelism only affects throughput, never results — see
-    the determinism contract in the module preamble.  An exception
-    raised by successor computation on a worker domain does not poison
-    the run: the replay recomputes the row and (deterministically)
-    re-raises it exactly where a sequential run would, while failures on
-    states a truncated run never consumes are dropped (counted in
-    [versa_pool_worker_failures_total]). *)
+    translation that produced [defs] and the root. *)
 
 val pp_summary : t Fmt.t
 (** One-line summary: state/transition counts, truncation, semantics. *)
 
 (** {1 On-the-fly checking}
 
-    Deadlock detection without materializing the graph: {!check} walks
-    the same transition system in the same BFS order as {!build} but
-    retains, per state, only the hash-consed term pointer, the BFS parent
-    id and the arriving step, in flat growable arrays — no successor
-    rows, no per-state records.  With [stop_at_deadlock] it answers
-    unschedulable-model queries in time (and memory) proportional to the
-    distance to the first deadline miss rather than to the whole state
-    space; run to exhaustion it yields the same verdict, deadlock ids and
-    shortest counterexample paths as a full build (asserted by the test
-    suite and the [bench-smoke] gate). *)
+    Deadlock detection without materializing the graph: {!check} is the
+    loop of {!build} without the row recorder.  It retains, per state,
+    only the hash-consed term pointer, the BFS parent id and the
+    arriving step, in flat growable arrays.  With [stop_at_deadlock] it
+    answers unschedulable-model queries in time (and memory)
+    proportional to the distance to the first deadline miss rather than
+    to the whole state space. *)
 
 type check_result
 (** Outcome of an on-the-fly exploration: verdict data plus the compact
@@ -266,14 +211,13 @@ type check_result
 val check :
   ?config:build_config ->
   ?semantics:semantics ->
-  ?jobs:int ->
   ?symmetry:Symmetry.spec ->
   Defs.t ->
   Proc.t ->
   check_result
-(** Same exploration order, budgets and parallelism contract as
-    {!build}; visited-state counts, deadlock ids and shortest paths
-    coincide exactly with a [build] under the same [config]. *)
+(** Same exploration order and budgets as {!build}; visited-state
+    counts, deadlock ids, shortest paths and {!stats} counts coincide
+    exactly with a [build] under the same [config]. *)
 
 val check_num_states : check_result -> int
 (** States visited (discovered); for an early-exit run this is the

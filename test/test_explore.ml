@@ -1,9 +1,12 @@
-(* Tests for the hash-consed parallel explorer.
+(* Tests for the hash-consed explorer.
 
-   Two families of guarantees:
-   - a parallel build ([~jobs:4]) is bit-identical to the sequential one —
-     same state numbering, edges, depths, deadlocks and shortest traces —
-     on the reference models and on random terms;
+   Three families of guarantees:
+   - the graph builder ([Lts.build]) and the on-the-fly checker
+     ([Lts.check]) agree on every count, deadlock id and shortest trace,
+     on full, truncated and early-exit runs of the reference models, the
+     example models and random terms;
+   - explorations run concurrently on several domains, as the service
+     scheduler runs them, are bit-identical to the same runs alone;
    - the hash-consed semantics engine agrees term-for-term with the
      reference engine ([Semantics.steps]/[prioritized]), and the [Hproc]
      layer is a faithful embedding of [Proc]. *)
@@ -16,31 +19,6 @@ let e_int n = Expr.Int n
 
 let action accesses =
   Action.of_list (List.map (fun (r, p) -> (r, e_int p)) accesses)
-
-(* {1 Sequential vs parallel builds on the reference models} *)
-
-let check_identical name (a : Versa.Lts.t) (b : Versa.Lts.t) =
-  Alcotest.(check int)
-    (name ^ ": states") (Versa.Lts.num_states a) (Versa.Lts.num_states b);
-  Alcotest.(check int)
-    (name ^ ": transitions")
-    (Versa.Lts.num_transitions a)
-    (Versa.Lts.num_transitions b);
-  Alcotest.(check bool)
-    (name ^ ": truncated") (Versa.Lts.truncated a) (Versa.Lts.truncated b);
-  Alcotest.(check (list int))
-    (name ^ ": deadlocks") (Versa.Lts.deadlocks a) (Versa.Lts.deadlocks b);
-  for id = 0 to Versa.Lts.num_states a - 1 do
-    if Versa.Lts.depth a id <> Versa.Lts.depth b id then
-      Alcotest.failf "%s: depth of state %d differs" name id;
-    if Versa.Lts.successors a id <> Versa.Lts.successors b id then
-      Alcotest.failf "%s: successors of state %d differ" name id
-  done;
-  List.iter
-    (fun d ->
-      if Versa.Lts.path_to a d <> Versa.Lts.path_to b d then
-        Alcotest.failf "%s: shortest trace to deadlock %d differs" name d)
-    (Versa.Lts.deadlocks a)
 
 let tr_of text =
   let tr = Translate.Pipeline.translate (Aadl.Instantiate.of_string text) in
@@ -81,32 +59,6 @@ let reference_models () =
     ("crossover set", crossover, stop);
   ]
 
-let test_parallel_build_identical () =
-  List.iter
-    (fun (name, (defs, system), config) ->
-      let seq = Versa.Lts.build ~config ~jobs:1 defs system in
-      let par4 = Versa.Lts.build ~config ~jobs:4 defs system in
-      let par2 = Versa.Lts.build ~config ~jobs:2 defs system in
-      check_identical (name ^ " (jobs=4)") seq par4;
-      check_identical (name ^ " (jobs=2)") seq par2)
-    (reference_models ())
-
-let test_parallel_verdict_identical () =
-  List.iter
-    (fun (name, (defs, system), _) ->
-      let seq = Versa.Explorer.check_deadlock ~jobs:1 defs system in
-      let par = Versa.Explorer.check_deadlock ~jobs:4 defs system in
-      let describe (r : Versa.Explorer.result) =
-        match r.Versa.Explorer.verdict with
-        | Versa.Explorer.Deadlock_free -> "deadlock-free"
-        | Versa.Explorer.Deadlock { state; trace } ->
-            Fmt.str "deadlock at %d, trace length %d" state
-              (Versa.Trace.length trace)
-        | Versa.Explorer.Inconclusive why -> "inconclusive: " ^ why
-      in
-      Alcotest.(check string) (name ^ ": verdict") (describe seq) (describe par))
-    (reference_models ())
-
 (* {1 Hash-consed semantics vs the reference engine, on LTS states} *)
 
 let test_engines_agree_on_reachable_states () =
@@ -131,10 +83,28 @@ let test_engines_agree_on_reachable_states () =
 
    [Lts.check] must agree with [Lts.build] under the same config on
    everything both can answer: visited-state and transition counts,
-   truncation, deadlock ids and shortest counterexample paths. *)
+   truncation, deadlock ids, shortest counterexample paths and every
+   count in the stats record. *)
+
+(* Every count field of [Lts.stats], rendered so a mismatch shows which
+   one moved.  Timings, the store-size estimate and the global hash-cons
+   table size are not per-engine facts and stay out. *)
+let stats_counts (s : Versa.Lts.stats) =
+  Fmt.str
+    "states %d, transitions %d, deadlocks %d, peak frontier %d, levels %d, \
+     interns %d/%d, memo %d/%d, orbits %d/%d, early exit %a, deadline %b"
+    s.num_states s.num_transitions s.num_deadlocks s.peak_frontier
+    s.depth_levels s.intern_hits s.intern_misses s.memo_hits s.memo_misses
+    s.orbit_hits s.orbit_misses
+    Fmt.(option ~none:(any "none") int)
+    s.early_exit_depth s.deadline_expired
 
 let check_otf_matches_build name (lts : Versa.Lts.t)
     (c : Versa.Lts.check_result) =
+  Alcotest.(check string)
+    (name ^ ": stats counts")
+    (stats_counts (Versa.Lts.stats lts))
+    (stats_counts (Versa.Lts.check_stats c));
   Alcotest.(check int)
     (name ^ ": states") (Versa.Lts.num_states lts)
     (Versa.Lts.check_num_states c);
@@ -158,53 +128,135 @@ let check_otf_matches_build name (lts : Versa.Lts.t)
       Alcotest.failf "%s: term of state %d differs" name id
   done
 
+(* Each reference model under its own config, then truncated by a small
+   state budget, then stopped at the first deadlock. *)
 let test_check_matches_build () =
   List.iter
     (fun (name, (defs, system), config) ->
-      let lts = Versa.Lts.build ~config defs system in
-      let c = Versa.Lts.check ~config defs system in
-      check_otf_matches_build name lts c)
+      List.iter
+        (fun (variant, config) ->
+          let lts = Versa.Lts.build ~config defs system in
+          let c = Versa.Lts.check ~config defs system in
+          check_otf_matches_build (name ^ variant) lts c)
+        [
+          ("", config);
+          ( " (max_states 50)",
+            { config with max_states = Some 50; stop_at_deadlock = false } );
+          (" (early exit)", { config with stop_at_deadlock = true });
+        ])
     (reference_models ())
 
-(* A cutover of 1 forces every multi-state frontier through the domain
-   pool, exercising the parallel path even on small models. *)
-let test_check_parallel_identical () =
+(* {1 Concurrent explorations}
+
+   The service scheduler runs whole explorations on several domains at
+   once; they share the global intern table and nothing else.  Each
+   must come out bit-identical to the same exploration run alone.  Every
+   reference model runs twice in the concurrent batch, so the same terms
+   are interned from two domains at once. *)
+
+(* [f x] for every [x], spread over two pool workers and the caller. *)
+let on_domains f xs =
+  let xs = Array.of_list xs in
+  let out = Array.make (Array.length xs) None in
+  let pool = Versa.Pool.create 2 in
+  Fun.protect
+    ~finally:(fun () -> Versa.Pool.shutdown pool)
+    (fun () ->
+      Versa.Pool.run pool (Array.length xs) (fun i ->
+          out.(i) <- Some (f xs.(i))));
+  Array.to_list (Array.map Option.get out)
+
+let check_identical name (a : Versa.Lts.t) (b : Versa.Lts.t) =
+  Alcotest.(check int)
+    (name ^ ": states") (Versa.Lts.num_states a) (Versa.Lts.num_states b);
+  Alcotest.(check int)
+    (name ^ ": transitions")
+    (Versa.Lts.num_transitions a)
+    (Versa.Lts.num_transitions b);
+  Alcotest.(check bool)
+    (name ^ ": truncated") (Versa.Lts.truncated a) (Versa.Lts.truncated b);
+  Alcotest.(check (list int))
+    (name ^ ": deadlocks") (Versa.Lts.deadlocks a) (Versa.Lts.deadlocks b);
+  for id = 0 to Versa.Lts.num_states a - 1 do
+    if Versa.Lts.depth a id <> Versa.Lts.depth b id then
+      Alcotest.failf "%s: depth of state %d differs" name id;
+    if Versa.Lts.successors a id <> Versa.Lts.successors b id then
+      Alcotest.failf "%s: successors of state %d differ" name id
+  done;
   List.iter
-    (fun (name, (defs, system), config) ->
-      let eager = { config with Versa.Lts.parallel_cutover = 1 } in
-      let seq = Versa.Lts.check ~config ~jobs:1 defs system in
-      let par = Versa.Lts.check ~config:eager ~jobs:4 defs system in
-      Alcotest.(check int)
-        (name ^ ": states")
-        (Versa.Lts.check_num_states seq)
-        (Versa.Lts.check_num_states par);
+    (fun d ->
+      if Versa.Lts.path_to a d <> Versa.Lts.path_to b d then
+        Alcotest.failf "%s: shortest trace to deadlock %d differs" name d)
+    (Versa.Lts.deadlocks a)
+
+let twice xs = xs @ xs
+
+let test_parallel_build_identical () =
+  let models = twice (reference_models ()) in
+  let build (_, (defs, system), config) = Versa.Lts.build ~config defs system in
+  List.iter2
+    (fun ((name, _, _) as m) concurrent ->
+      check_identical name (build m) concurrent)
+    models (on_domains build models)
+
+let test_parallel_verdict_identical () =
+  let models = twice (reference_models ()) in
+  let verdict (_, (defs, system), _) =
+    let r = Versa.Explorer.check_deadlock defs system in
+    match r.Versa.Explorer.verdict with
+    | Versa.Explorer.Deadlock_free -> "deadlock-free"
+    | Versa.Explorer.Deadlock { state; trace } ->
+        Fmt.str "deadlock at %d: %a" state
+          Fmt.(list ~sep:semi Acsr.Step.pp)
+          (Versa.Trace.steps trace)
+    | Versa.Explorer.Inconclusive why -> "inconclusive: " ^ why
+  in
+  List.iter2
+    (fun ((name, _, _) as m) concurrent ->
+      Alcotest.(check string) (name ^ ": verdict") (verdict m) concurrent)
+    models (on_domains verdict models)
+
+let test_check_parallel_identical () =
+  let models = twice (reference_models ()) in
+  let check (_, (defs, system), config) = Versa.Lts.check ~config defs system in
+  List.iter2
+    (fun ((name, _, _) as m) concurrent ->
+      let alone = check m in
+      Alcotest.(check string)
+        (name ^ ": stats counts")
+        (stats_counts (Versa.Lts.check_stats alone))
+        (stats_counts (Versa.Lts.check_stats concurrent));
       Alcotest.(check (list int))
         (name ^ ": deadlocks")
-        (Versa.Lts.check_deadlocks seq)
-        (Versa.Lts.check_deadlocks par);
+        (Versa.Lts.check_deadlocks alone)
+        (Versa.Lts.check_deadlocks concurrent);
       List.iter
         (fun d ->
-          if Versa.Lts.check_path_to seq d <> Versa.Lts.check_path_to par d
+          if
+            Versa.Lts.check_path_to alone d
+            <> Versa.Lts.check_path_to concurrent d
           then Alcotest.failf "%s: path to deadlock %d differs" name d)
-        (Versa.Lts.check_deadlocks seq))
-    (reference_models ())
+        (Versa.Lts.check_deadlocks alone))
+    models (on_domains check models)
 
 (* {1 Engine agreement on every example AADL model}
 
    Both engines must report the same verdict, the same raised AADL
-   scenario and — explored exhaustively — the same deadlock count, on
-   every model shipped in examples/models. *)
+   scenario and the same stats counts — stopped at the first deadlock,
+   truncated by a small state budget and explored exhaustively (then
+   with the same deadlock ids too) — on every model shipped in
+   examples/models. *)
 
 let example_models_dir () =
   List.find_opt Sys.file_exists
     [ "../examples/models"; "examples/models" ]
 
-let analyze_with engine ~all root =
+let analyze_with ?(max_states = 300_000) engine ~all root =
   Analysis.Schedulability.analyze
     ~options:
       {
         Analysis.Schedulability.default_options with
-        max_states = 300_000;
+        max_states;
         all_violations = all;
         engine;
       }
@@ -242,11 +294,31 @@ let test_example_models_agree () =
                   (Versa.Trace.steps trace)
             | Analysis.Schedulability.Inconclusive why -> "inconclusive: " ^ why
           in
+          let check_stats what (a : Analysis.Schedulability.t)
+              (b : Analysis.Schedulability.t) =
+            let counts (r : Analysis.Schedulability.t) =
+              stats_counts
+                (Versa.Explorer.stats r.Analysis.Schedulability.exploration)
+            in
+            Alcotest.(check string)
+              (Fmt.str "%s: stats counts (%s)" file what)
+              (counts a) (counts b)
+          in
           Alcotest.(check string)
             (file ^ ": verdict and scenario") (describe full) (describe otf);
+          check_stats "early exit" full otf;
+          let full_t =
+            analyze_with ~max_states:50 Versa.Explorer.Full ~all:true root
+          in
+          let otf_t =
+            analyze_with ~max_states:50 Versa.Explorer.On_the_fly ~all:true
+              root
+          in
+          check_stats "max_states 50" full_t otf_t;
           (* exhaustively: same number of violation states *)
           let full_x = analyze_with Versa.Explorer.Full ~all:true root in
           let otf_x = analyze_with Versa.Explorer.On_the_fly ~all:true root in
+          check_stats "exhaustive" full_x otf_x;
           Alcotest.(check (list int))
             (file ^ ": deadlock ids (exhaustive)")
             (Versa.Explorer.deadlocks full_x.Analysis.Schedulability.exploration)
@@ -255,98 +327,6 @@ let test_example_models_agree () =
             (file ^ ": states (exhaustive)")
             (Versa.Explorer.num_states full_x.Analysis.Schedulability.exploration)
             (Versa.Explorer.num_states otf_x.Analysis.Schedulability.exploration))
-        models
-
-(* Work-stealing exploration across every example model: at jobs 2 and
-   4 (cutover 1, so the pool engages even on the small models) the
-   visited states, transitions, deadlock ids and counterexample paths
-   must be bit-identical to jobs 1, and the analysis layer's raised
-   scenario must not move either. *)
-let test_example_models_workstealing_identical () =
-  match example_models_dir () with
-  | None -> Alcotest.fail "examples/models not found (missing dune deps?)"
-  | Some dir ->
-      let models =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f -> Filename.check_suffix f ".aadl")
-        |> List.sort compare
-      in
-      Alcotest.(check bool) "found example models" true (models <> []);
-      List.iter
-        (fun file ->
-          let contents =
-            let ic = open_in_bin (Filename.concat dir file) in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          let root = Aadl.Instantiate.of_string contents in
-          let tr = Translate.Pipeline.translate root in
-          let defs = tr.Translate.Pipeline.defs in
-          let system = tr.Translate.Pipeline.system in
-          let eager =
-            {
-              Versa.Lts.default_config with
-              max_states = Some 300_000;
-              parallel_cutover = 1;
-            }
-          in
-          let c1 = Versa.Lts.check ~config:eager ~jobs:1 defs system in
-          List.iter
-            (fun jobs ->
-              let c = Versa.Lts.check ~config:eager ~jobs defs system in
-              Alcotest.(check int)
-                (Fmt.str "%s: states (jobs=%d)" file jobs)
-                (Versa.Lts.check_num_states c1)
-                (Versa.Lts.check_num_states c);
-              Alcotest.(check int)
-                (Fmt.str "%s: transitions (jobs=%d)" file jobs)
-                (Versa.Lts.check_num_transitions c1)
-                (Versa.Lts.check_num_transitions c);
-              Alcotest.(check (list int))
-                (Fmt.str "%s: deadlocks (jobs=%d)" file jobs)
-                (Versa.Lts.check_deadlocks c1)
-                (Versa.Lts.check_deadlocks c);
-              List.iter
-                (fun d ->
-                  if Versa.Lts.check_path_to c1 d <> Versa.Lts.check_path_to c d
-                  then
-                    Alcotest.failf "%s: path to deadlock %d differs (jobs=%d)"
-                      file d jobs)
-                (Versa.Lts.check_deadlocks c1))
-            [ 2; 4 ];
-          (* the raised scenario reported by the analysis layer is
-             jobs-invariant too *)
-          let analyze_jobs jobs =
-            Analysis.Schedulability.analyze
-              ~options:
-                {
-                  Analysis.Schedulability.default_options with
-                  max_states = 300_000;
-                  engine = Versa.Explorer.On_the_fly;
-                  jobs;
-                }
-              root
-          in
-          let describe (r : Analysis.Schedulability.t) =
-            match r.Analysis.Schedulability.verdict with
-            | Analysis.Schedulability.Schedulable -> "schedulable"
-            | Analysis.Schedulability.Not_schedulable { scenario; trace } ->
-                Fmt.str "NOT schedulable at t=%d: %a (steps %a)"
-                  scenario.Analysis.Raise_trace.violation_time
-                  Analysis.Raise_trace.pp scenario
-                  Fmt.(list ~sep:semi Acsr.Step.pp)
-                  (Versa.Trace.steps trace)
-            | Analysis.Schedulability.Inconclusive why -> "inconclusive: " ^ why
-          in
-          let base = describe (analyze_jobs 1) in
-          List.iter
-            (fun jobs ->
-              Alcotest.(check string)
-                (Fmt.str "%s: raised scenario (jobs=%d)" file jobs)
-                base
-                (describe (analyze_jobs jobs)))
-            [ 2; 4 ])
         models
 
 (* {1 Property-based tests} *)
@@ -462,7 +442,9 @@ let prop_check_agrees_with_build =
     gen_proc_full (fun p ->
       let lts = Versa.Lts.build Defs.empty p in
       let c = Versa.Lts.check Defs.empty p in
-      Versa.Lts.num_states lts = Versa.Lts.check_num_states c
+      stats_counts (Versa.Lts.stats lts)
+      = stats_counts (Versa.Lts.check_stats c)
+      && Versa.Lts.num_states lts = Versa.Lts.check_num_states c
       && Versa.Lts.num_transitions lts = Versa.Lts.check_num_transitions c
       && Versa.Lts.deadlocks lts = Versa.Lts.check_deadlocks c
       && List.for_all
@@ -486,78 +468,6 @@ let prop_check_early_exit_sound =
           && Versa.Lts.check_path_to c d = Versa.Lts.path_to lts d'
       | [], _ :: _ | _ :: _, [] -> false)
 
-let prop_parallel_build_agrees =
-  QCheck2.Test.make ~name:"build jobs=4 = build jobs=1" ~count:25
-    gen_proc_full (fun p ->
-      let l1 = Versa.Lts.build ~jobs:1 Defs.empty p in
-      let l4 = Versa.Lts.build ~jobs:4 Defs.empty p in
-      Versa.Lts.num_states l1 = Versa.Lts.num_states l4
-      && Versa.Lts.num_transitions l1 = Versa.Lts.num_transitions l4
-      && Versa.Lts.deadlocks l1 = Versa.Lts.deadlocks l4
-      && List.for_all
-           (fun id -> Versa.Lts.successors l1 id = Versa.Lts.successors l4 id)
-           (List.init (Versa.Lts.num_states l1) Fun.id))
-
-(* The work-stealing contract, on random terms: with a cutover of 1 the
-   worker pool engages on every multi-state frontier, and everything the
-   LTS exposes — ids, rows, depths, deadlocks, traces — must be
-   bit-identical to the sequential run at every jobs value. *)
-let lts_bit_identical l1 l2 =
-  Versa.Lts.num_states l1 = Versa.Lts.num_states l2
-  && Versa.Lts.num_transitions l1 = Versa.Lts.num_transitions l2
-  && Versa.Lts.truncated l1 = Versa.Lts.truncated l2
-  && Versa.Lts.deadlocks l1 = Versa.Lts.deadlocks l2
-  && List.for_all
-       (fun id ->
-         Versa.Lts.successors l1 id = Versa.Lts.successors l2 id
-         && Versa.Lts.depth l1 id = Versa.Lts.depth l2 id)
-       (List.init (Versa.Lts.num_states l1) Fun.id)
-  && List.for_all
-       (fun d -> Versa.Lts.path_to l1 d = Versa.Lts.path_to l2 d)
-       (Versa.Lts.deadlocks l1)
-
-let prop_workstealing_build_bit_identical =
-  QCheck2.Test.make ~name:"work-stealing build jobs∈{2,4} = jobs=1"
-    ~count:20 gen_proc_full (fun p ->
-      let eager =
-        { Versa.Lts.default_config with parallel_cutover = 1 }
-      in
-      let l1 = Versa.Lts.build ~config:eager ~jobs:1 Defs.empty p in
-      List.for_all
-        (fun jobs ->
-          lts_bit_identical l1
-            (Versa.Lts.build ~config:eager ~jobs Defs.empty p))
-        [ 2; 4 ])
-
-let prop_workstealing_early_exit_identical =
-  (* the racy part of early exit: workers may explore far beyond the
-     first deadlock, but the replayed verdict — visited count, deadlock
-     id, counterexample path — must not move *)
-  QCheck2.Test.make
-    ~name:"work-stealing early-exit check jobs∈{2,4} = jobs=1" ~count:20
-    gen_proc_full (fun p ->
-      let eager =
-        {
-          Versa.Lts.default_config with
-          parallel_cutover = 1;
-          stop_at_deadlock = true;
-        }
-      in
-      let c1 = Versa.Lts.check ~config:eager ~jobs:1 Defs.empty p in
-      List.for_all
-        (fun jobs ->
-          let c = Versa.Lts.check ~config:eager ~jobs Defs.empty p in
-          Versa.Lts.check_num_states c1 = Versa.Lts.check_num_states c
-          && Versa.Lts.check_num_transitions c1
-             = Versa.Lts.check_num_transitions c
-          && Versa.Lts.check_truncated c1 = Versa.Lts.check_truncated c
-          && Versa.Lts.check_deadlocks c1 = Versa.Lts.check_deadlocks c
-          && List.for_all
-               (fun d ->
-                 Versa.Lts.check_path_to c1 d = Versa.Lts.check_path_to c d)
-               (Versa.Lts.check_deadlocks c1))
-        [ 2; 4 ])
-
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -567,9 +477,6 @@ let qcheck_cases =
       prop_compare_structural_mirrors_stdlib;
       prop_h_steps_agree;
       prop_h_prioritized_agree;
-      prop_parallel_build_agrees;
-      prop_workstealing_build_bit_identical;
-      prop_workstealing_early_exit_identical;
       prop_check_agrees_with_build;
       prop_check_early_exit_sound;
     ]
@@ -687,8 +594,6 @@ let () =
             test_check_parallel_identical;
           Alcotest.test_case "engines agree on example models" `Slow
             test_example_models_agree;
-          Alcotest.test_case "work stealing is identical on example models"
-            `Slow test_example_models_workstealing_identical;
         ] );
       ( "budgets",
         [

@@ -8,7 +8,7 @@
    - equivalence: exploring with the reduction on yields the same verdict,
      violation time and scenario length as exploring the raw space, on
      every example model and on generated families, schedulable and not,
-     sequential and parallel;
+     alone and run concurrently on several domains;
    - soundness of de-canonicalization: the returned failing scenario is a
      real path of the *unreduced* prioritized semantics, ending in a
      deadlock. *)
@@ -145,14 +145,13 @@ let describe (r : Analysis.Schedulability.t) =
         (Versa.Trace.length trace)
   | Analysis.Schedulability.Inconclusive why -> "inconclusive: " ^ why
 
-let analyze_sym ~symmetry ?(jobs = 1) ?(all = false) root =
+let analyze_sym ~symmetry ?(all = false) root =
   Analysis.Schedulability.analyze
     ~options:
       {
         Analysis.Schedulability.default_options with
         max_states = 300_000;
         all_violations = all;
-        jobs;
         symmetry;
       }
     root
@@ -224,25 +223,36 @@ let test_families_equivalent () =
           (stats.Versa.Lts.orbit_hits + stats.Versa.Lts.orbit_misses > 0))
     [ (1, 0.5); (2, 0.8); (4, 0.8); (4, 1.3); (6, 0.9); (6, 1.2) ]
 
-(* The reduction composes with the work-stealing pool: at jobs 4 with an
-   eager cutover the verdicts and scenario invariants must match jobs 1,
-   reduction on in both. *)
+(* The service scheduler runs reduced explorations on several domains
+   at once.  Run that way — each family twice, on two pool workers and
+   the caller — the verdict, the visited states and the orbit tallies
+   must match the same exploration run alone. *)
 let test_families_parallel_equivalent () =
-  List.iter
-    (fun (threads, utilization) ->
-      let name = Fmt.str "family %d@%.2f" threads utilization in
-      let root =
-        Aadl.Instantiate.of_string (family ~threads ~utilization ())
-      in
-      let seq = analyze_sym ~symmetry:true root in
-      let par = analyze_sym ~symmetry:true ~jobs:4 root in
+  let families = [ (4, 0.8); (4, 1.3); (4, 0.8); (4, 1.3) ] in
+  let analyze (threads, utilization) =
+    let r =
+      analyze_sym ~symmetry:true
+        (Aadl.Instantiate.of_string (family ~threads ~utilization ()))
+    in
+    let s = Versa.Explorer.stats r.Analysis.Schedulability.exploration in
+    Fmt.str "%s; %d states; orbits %d/%d" (describe r)
+      s.Versa.Lts.num_states s.Versa.Lts.orbit_hits s.Versa.Lts.orbit_misses
+  in
+  let inputs = Array.of_list families in
+  let concurrent = Array.make (Array.length inputs) "" in
+  let pool = Versa.Pool.create 2 in
+  Fun.protect
+    ~finally:(fun () -> Versa.Pool.shutdown pool)
+    (fun () ->
+      Versa.Pool.run pool (Array.length inputs) (fun i ->
+          concurrent.(i) <- analyze inputs.(i)));
+  Array.iteri
+    (fun i (threads, utilization) ->
       Alcotest.(check string)
-        (name ^ ": jobs4 verdict") (describe seq) (describe par);
-      Alcotest.(check int)
-        (name ^ ": jobs4 states")
-        (Versa.Explorer.num_states seq.Analysis.Schedulability.exploration)
-        (Versa.Explorer.num_states par.Analysis.Schedulability.exploration))
-    [ (4, 0.8); (4, 1.3) ]
+        (Fmt.str "family %d@%.2f: concurrent run" threads utilization)
+        (analyze (threads, utilization))
+        concurrent.(i))
+    inputs
 
 (* {1 Soundness: the de-canonicalized scenario is a real path}
 
